@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``smooth``, ``persistence``, ``entropy``, ``evaluate``,
-``synth``. Exit codes: 0 success, 1 validation error, 2 I/O error.
-An optional ``key=value`` config file supplies defaults; explicit flags win.
+``synth``. Exit codes: 0 success, 1 validation error, 2 I/O error or
+invalid arguments. An optional ``key=value`` config file supplies
+defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -12,14 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .evaluate import DEFAULT_METHODS, METRIC_NAMES, evaluate_series
-from .filters import (
-    cutoff_filter,
-    douglas_peucker,
-    gaussian_filter,
-    median_filter,
-    uniform_subsample,
-)
+from .evaluate import DEFAULT_METHODS, METHODS, METRIC_NAMES, evaluate_series
 from .io import (
     load_csv,
     svg_line_chart,
@@ -30,22 +24,20 @@ from .io import (
     write_sweep_csv,
 )
 from .metrics import approx_entropy
-from .persistence import compute_persistence
+from .persistence import diagram_of
 from .series import TimeSeries, sample_std
-from .simplify import Fraction, Threshold, simplify
 from .synth import KINDS, generate_synthetic
 
-SMOOTHERS = {
-    "threshold": lambda s, p: simplify(s, Threshold(p)),
-    "fraction": lambda s, p: simplify(s, Fraction(p)),
-    "median": lambda s, p: median_filter(s, int(p)),
-    "gaussian": gaussian_filter,
-    "cutoff": lambda s, p: cutoff_filter(s, int(p)),
-    "subsample": lambda s, p: uniform_subsample(s, int(p)),
-    "douglas-peucker": douglas_peucker,
-}
-
 CLI_KINDS = tuple(k.replace("_", "-") for k in KINDS)
+CLI_METHODS = tuple(name.replace("_", "-") for name in METHODS)
+
+
+def _config_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="toposmooth", add_help=False)
+    parser.add_argument(
+        "--config", metavar="PATH", help="key=value lines supplying defaults; flags win"
+    )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,28 +47,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    config = [_config_parser()]
 
-    p = sub.add_parser("smooth", help="smooth a series with one method")
-    p.add_argument("--config", type=str, default=None)
+    p = sub.add_parser("smooth", parents=config, help="smooth a series with one method")
     p.add_argument("--input", type=str, required=True, help="input CSV")
-    p.add_argument("--method", choices=sorted(SMOOTHERS), required=True)
+    p.add_argument("--method", choices=CLI_METHODS, required=True)
     p.add_argument("--param", type=float, required=True)
     p.add_argument("--output", type=str, required=True, help="output CSV")
     p.add_argument("--svg", type=str, default=None, help="overlay chart path")
 
-    p = sub.add_parser("persistence", help="emit extrema pairs as CSV")
-    p.add_argument("--config", type=str, default=None)
+    p = sub.add_parser("persistence", parents=config, help="emit extrema pairs as CSV")
     p.add_argument("--input", type=str, required=True)
     p.add_argument("--output", type=str, required=True)
 
-    p = sub.add_parser("entropy", help="print approximate entropy")
-    p.add_argument("--config", type=str, default=None)
+    p = sub.add_parser("entropy", parents=config, help="print approximate entropy")
     p.add_argument("--input", type=str, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--r-factor", type=float, default=0.2)
 
-    p = sub.add_parser("evaluate", help="full sweep, fit, AUC and rank report")
-    p.add_argument("--config", type=str, default=None)
+    p = sub.add_parser(
+        "evaluate", parents=config, help="full sweep, fit, AUC and rank report"
+    )
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", type=str, default=None)
     src.add_argument("--synth-kind", choices=CLI_KINDS, default=None)
@@ -85,10 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--r-factor", type=float, default=0.2)
     p.add_argument("--out-dir", type=str, required=True)
-    p.add_argument("--emit", type=str, default="csv,json,svg")
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    p.add_argument("--config", type=str, default=None)
+    p = sub.add_parser("synth", parents=config, help="generate a synthetic dataset CSV")
     p.add_argument("--kind", choices=CLI_KINDS, required=True)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--seed", type=int, default=7)
@@ -96,37 +85,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Inject key=value config entries as defaults; explicit flags win."""
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise ValueError("--config requires a file path")
-    path = argv[at + 1]
-    pairs = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+def _expand_config(argv: list[str]) -> list[str]:
+    """Replace ``--config PATH`` by its ``key=value`` lines as flags.
+
+    The flags go right after the subcommand, so explicit flags, which
+    come later, win; argparse then checks every value as if typed.
+    """
+    known, rest = _config_parser().parse_known_args(argv)
+    if known.config is None:
+        return rest
+    flags = []
+    for raw in Path(known.config).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"config line {line!r} is not key=value")
         key, value = line.split("=", 1)
-        pairs[key.strip().replace("-", "_")] = value.strip()
-    # Find the subcommand parser and coerce strings via each action's type.
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    command = next((a for a in argv if not a.startswith("-")), None)
-    if sub_actions and command in sub_actions[0].choices:
-        sub_parser = sub_actions[0].choices[command]
-        defaults = {}
-        for action in sub_parser._actions:
-            if action.dest in pairs:
-                value = pairs[action.dest]
-                defaults[action.dest] = action.type(value) if action.type else value
-                if action.required:
-                    action.required = False
-        sub_parser.set_defaults(**defaults)
-    return argv
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    at = next((i for i, a in enumerate(rest) if not a.startswith("-")), len(rest))
+    return rest[: at + 1] + flags + rest[at + 1 :]
 
 
 def _load_input(args) -> TimeSeries:
@@ -137,7 +115,7 @@ def _load_input(args) -> TimeSeries:
 
 def _cmd_smooth(args) -> int:
     series = load_csv(args.input)
-    smoothed = SMOOTHERS[args.method](series, args.param)
+    smoothed = METHODS[args.method.replace("-", "_")](series, args.param)
     write_series_csv(args.output, smoothed)
     if args.svg:
         chart = svg_line_chart(
@@ -150,8 +128,7 @@ def _cmd_smooth(args) -> int:
 
 def _cmd_persistence(args) -> int:
     series = load_csv(args.input)
-    diagram, _ = compute_persistence(series)
-    write_pairs_csv(args.output, diagram)
+    write_pairs_csv(args.output, diagram_of(series))
     return 0
 
 
@@ -167,7 +144,6 @@ def _cmd_evaluate(args) -> int:
     result = evaluate_series(series, m=args.m, r_factor=args.r_factor)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emit = {e.strip() for e in args.emit.split(",") if e.strip()}
     config_echo = {
         "dataset": series.label,
         "methods": list(DEFAULT_METHODS),
@@ -178,19 +154,16 @@ def _cmd_evaluate(args) -> int:
         "source": "csv" if args.input else args.synth_kind,
     }
     stem = series.label or "series"
-    if "json" in emit:
-        write_report_json(out / f"{stem}_report.json", result, config_echo)
-    if "csv" in emit:
-        write_sweep_csv(out / f"{stem}_sweep.csv", result)
-    if "svg" in emit:
-        for metric in METRIC_NAMES:
-            chart = svg_metric_scatter(
-                metric,
-                result.sweep_points,
-                result.fits,
-                title=f"{stem}: {metric} vs entropy",
-            )
-            (out / f"{stem}_{metric}.svg").write_text(chart, encoding="utf-8")
+    write_report_json(out / f"{stem}_report.json", result, config_echo)
+    write_sweep_csv(out / f"{stem}_sweep.csv", result)
+    for metric in METRIC_NAMES:
+        chart = svg_metric_scatter(
+            metric,
+            result.sweep_points,
+            result.fits,
+            title=f"{stem}: {metric} vs entropy",
+        )
+        (out / f"{stem}_{metric}.svg").write_text(chart, encoding="utf-8")
     overall = sorted(result.report.overall.items(), key=lambda kv: (kv[1], kv[0]))
     for method, rank in overall:
         print(f"{method}: average rank {rank:g}")
@@ -216,8 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_expand_config(argv))
         return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,10 @@ rank of a method is the mean of its four per-measure ranks.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,24 +33,86 @@ from .simplify import Fraction, Threshold, simplify
 
 METRIC_NAMES = ("l1", "linf", "w1", "bottleneck")
 
+
+class Method(NamedTuple):
+    """A smoothing method: how to apply it, its parameter kind, its grid.
+
+    Calling the entry coerces and checks the parameter, then applies the
+    method. ``grid(n, value_range, levels)`` gives the default sweep, light
+    to heavy smoothing; a method without one is not in ``DEFAULT_METHODS``.
+    """
+
+    name: str
+    kind: type
+    apply: Callable[[TimeSeries, float], TimeSeries]
+    grid: Callable[[int, float, int], list[float]] | None = None
+
+    def __call__(self, series: TimeSeries, param) -> TimeSeries:
+        value = float(param)
+        if not math.isfinite(value):
+            raise ValueError(f"{self.name} parameter must be finite, got {value}")
+        if self.kind is int:
+            if not value.is_integer():
+                raise ValueError(f"{self.name} parameter must be an integer, got {value}")
+            return self.apply(series, int(value))
+        return self.apply(series, value)
+
+
+# The apply functions look the filters up as module globals at call time,
+# so a filter replaced in this namespace (to trace or time it) is the one called.
 METHODS = {
-    "topological": lambda s, q: simplify(s, Fraction(float(q))),
-    "topological_threshold": lambda s, t: simplify(s, Threshold(float(t))),
-    "median": lambda s, w: median_filter(s, int(w)),
-    "gaussian": lambda s, sig: gaussian_filter(s, float(sig)),
-    "cutoff": lambda s, k: cutoff_filter(s, int(k)),
-    "subsample": lambda s, st: uniform_subsample(s, int(st)),
-    "douglas_peucker": lambda s, e: douglas_peucker(s, float(e)),
+    m.name: m
+    for m in (
+        Method(
+            "topological",
+            float,
+            lambda s, q: simplify(s, Fraction(q)),
+            lambda n, span, levels: [float(q) for q in np.linspace(0.05, 0.95, levels)],
+        ),
+        Method("topological_threshold", float, lambda s, t: simplify(s, Threshold(t))),
+        Method(
+            "median",
+            int,
+            lambda s, w: median_filter(s, w),
+            lambda n, span, levels: [float(3 + 4 * i) for i in range(levels)],
+        ),
+        Method(
+            "gaussian",
+            float,
+            lambda s, sig: gaussian_filter(s, sig),
+            lambda n, span, levels: [float(g) for g in np.geomspace(0.5, 64.0, levels)],
+        ),
+        # Tops out at n//4 rather than the no-op n//2: keeping the full
+        # spectrum reproduces the input exactly, which is not a smoothing level.
+        Method(
+            "cutoff",
+            int,
+            lambda s, k: cutoff_filter(s, k),
+            lambda n, span, levels: sorted(
+                {float(max(1, round(k))) for k in np.geomspace(max(1, n // 4), 1, levels)},
+                reverse=True,
+            ),
+        ),
+        Method(
+            "subsample",
+            int,
+            lambda s, st: uniform_subsample(s, st),
+            lambda n, span, levels: sorted(
+                {float(round(x)) for x in np.geomspace(2, min(128, n // 2), levels)}
+            ),
+        ),
+        Method(
+            "douglas_peucker",
+            float,
+            lambda s, e: douglas_peucker(s, e),
+            lambda n, span, levels: [
+                float(f * span) for f in np.geomspace(0.01, 0.9, levels)
+            ],
+        ),
+    )
 }
 
-DEFAULT_METHODS = (
-    "topological",
-    "median",
-    "gaussian",
-    "cutoff",
-    "subsample",
-    "douglas_peucker",
-)
+DEFAULT_METHODS = tuple(name for name, m in METHODS.items() if m.grid is not None)
 
 
 class EvaluationError(RuntimeError):
@@ -101,28 +166,8 @@ class RankReport:
 
 
 def default_grids(n: int, value_range: float, levels: int = 12) -> dict[str, list[float]]:
-    """Per-method parameter grids covering light to heavy smoothing.
-
-    The cutoff grid tops out at n//4 rather than the no-op n//2 (keeping
-    the full spectrum reproduces the input exactly, which is not a
-    smoothing level).
-    """
-    windows = [float(3 + 4 * i) for i in range(levels)]
-    keep = sorted(
-        {float(max(1, round(k))) for k in np.geomspace(max(1, n // 4), 1, levels)},
-        reverse=True,
-    )
-    strides = sorted({float(round(s)) for s in np.geomspace(2, min(128, n // 2), levels)})
-    return {
-        "topological": [float(q) for q in np.linspace(0.05, 0.95, levels)],
-        "median": windows,
-        "gaussian": [float(g) for g in np.geomspace(0.5, 64.0, levels)],
-        "cutoff": keep,
-        "subsample": strides,
-        "douglas_peucker": [
-            float(f * value_range) for f in np.geomspace(0.01, 0.9, levels)
-        ],
-    }
+    """Per-method parameter grids covering light to heavy smoothing."""
+    return {name: METHODS[name].grid(n, value_range, levels) for name in DEFAULT_METHODS}
 
 
 def sweep(

@@ -36,6 +36,8 @@ def gaussian_filter(series: TimeSeries, sigma: float) -> TimeSeries:
     ``sigma`` = 0 returns the input.
     """
     require_valid(series)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
@@ -82,6 +84,8 @@ def douglas_peucker_indices(series: TimeSeries, epsilon: float) -> list[int]:
     residual is <= ``epsilon``.
     """
     require_valid(series)
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     values = series.values

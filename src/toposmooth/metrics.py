@@ -9,7 +9,6 @@ the persistence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +191,9 @@ def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
     computed once from the original series and held fixed.
     """
     x = _values(series)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if len(bad):
+        raise ValueError(f"non-finite sample {float(x[bad[0]])} at index {int(bad[0])}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if r is None:
@@ -216,10 +218,3 @@ def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
 
     return phi(m) - phi(m + 1)
 
-
-def chebyshev(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-
-def l1_point_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return abs(p[0] - q[0]) + abs(p[1] - q[1])

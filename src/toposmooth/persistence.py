@@ -17,6 +17,7 @@ O(m log m) to sort and merge m extrema.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ from .series import (
     ExtremumRecord,
     TimeSeries,
     classify_extrema,
-    require_valid,
 )
 
 
@@ -91,135 +91,96 @@ class MergeTree:
         return tuple(n for n in self.nodes if n.kind is NodeKind.MERGE)
 
 
-class _UnionFind:
-    """Disjoint sets over extremum slots, tracking each component's minimum."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        # comp_min[root] = (value, collapsed index, slot) of the component minimum
-        self.comp_min: list[tuple[float, int, int] | None] = [None] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the components of roots ``a`` and ``b``; returns the new root."""
-        if a == b:
-            return a
-        self.parent[b] = a
-        ma, mb = self.comp_min[a], self.comp_min[b]
-        if mb is not None and (ma is None or mb < ma):
-            self.comp_min[a] = mb
-        return a
-
-
 def _sweep(
+    values: np.ndarray, extrema: list[ExtremumRecord]
+) -> Iterator[tuple[int, int, int, int]]:
+    """Pairs-only sweep over the extremum slots.
+
+    Kinds alternate, so each component of the sublevel set spans an
+    interval of slots [a, b] with minima at both ends, and the interior
+    maximum at slot j joins the interval ending at j - 1 with the interval
+    starting at j + 1. Both neighbours are lower minima, so they are
+    already swept; boundary maxima never join two components and are
+    skipped. Each interval keeps its other end and the slot of its
+    minimum at both of its ends. Slots increase with sample index, so
+    (value, slot) orders like (value, index).
+
+    Yields the merges in sweep order, each as (maximum slot, new interval
+    start, new interval end, dying slot).
+    """
+    k = len(extrema)
+    value = values[[rec.index for rec in extrema]].tolist()
+    other_end = list(range(k))
+    lowest = other_end.copy()
+    maxima = sorted(
+        (j for j in range(1, k - 1) if extrema[j].kind is ExtremumKind.LOCAL_MAX),
+        key=lambda j: (value[j], j),
+    )
+    for j in maxima:
+        a, b = other_end[j - 1], other_end[j + 1]
+        left, right = lowest[j - 1], lowest[j + 1]
+        # Larger (value, index) key dies: elder component survives.
+        if (value[left], left) > (value[right], right):
+            dying, living = left, right
+        else:
+            dying, living = right, left
+        other_end[a], other_end[b] = b, a
+        lowest[a] = lowest[b] = living
+        yield j, a, b, dying
+
+
+def _diagram(
     values: np.ndarray,
     extrema: list[ExtremumRecord],
-    build_tree: bool,
-) -> tuple[PersistenceDiagram, MergeTree | None]:
-    k = len(extrema)
-    order = sorted(range(k), key=lambda j: (values[extrema[j].index], extrema[j].index))
+    merges: Iterable[tuple[int, int, int, int]],
+) -> PersistenceDiagram:
+    """The merges' pairs, by ascending persistence, ties by birth index."""
+    pairs = []
+    for j, _, _, dying in merges:
+        birth, death = extrema[dying].index, extrema[j].index
+        pairs.append(ExtremaPair(birth, death, float(values[birth]), float(values[death])))
+    pairs.sort(key=lambda p: (p.persistence, p.birth_index))
+    # The first global minimum starts its run, so it is the collapsed index.
+    return PersistenceDiagram(tuple(pairs), int(np.argmin(values)))
 
-    uf = _UnionFind(k)
-    active = [False] * k
-    pairs: list[ExtremaPair] = []
 
-    nodes: list[dict] = []
-    leaf_of_slot: dict[int, int] = {}
-    comp_top: dict[int, int] = {}
-
-    def new_node(f: float, idx: int, kind: NodeKind, children=(), paired=None) -> int:
-        nid = len(nodes)
-        nodes.append(
-            dict(
-                node_id=nid,
-                f_value=float(f),
-                sample_index=int(idx),
-                kind=kind,
-                parent=None,
-                children=tuple(children),
-                paired_leaf=paired,
-            )
-        )
-        for c in children:
-            nodes[c]["parent"] = nid
-        return nid
-
-    for j in order:
-        rec = extrema[j]
-        v = float(values[rec.index])
-        if rec.kind is ExtremumKind.LOCAL_MIN:
-            uf.comp_min[j] = (v, rec.index, j)
-            if build_tree:
-                nid = new_node(v, rec.index, NodeKind.LEAF)
-                leaf_of_slot[j] = nid
-                comp_top[j] = nid
-        else:
-            neighbours = [s for s in (j - 1, j + 1) if 0 <= s < k and active[s]]
-            roots = sorted({uf.find(s) for s in neighbours})
-            if len(roots) == 2:
-                ra, rb = roots
-                min_a, min_b = uf.comp_min[ra], uf.comp_min[rb]
-                assert min_a is not None and min_b is not None
-                # Larger (value, index) key dies: elder component survives.
-                dying = min_a if min_a > min_b else min_b
-                pairs.append(
-                    ExtremaPair(
-                        birth_index=dying[1],
-                        death_index=rec.index,
-                        birth_value=dying[0],
-                        death_value=v,
-                    )
-                )
-                merged = uf.union(ra, rb)
-                uf.union(merged, uf.find(j))
-                if build_tree:
-                    children = (comp_top.pop(ra), comp_top.pop(rb))
-                    nid = new_node(
-                        v, rec.index, NodeKind.MERGE, children, leaf_of_slot[dying[2]]
-                    )
-                    comp_top[uf.find(merged)] = nid
-            elif len(roots) == 1:
-                # A boundary maximum extends its single neighbouring component.
-                top = comp_top.pop(roots[0], None) if build_tree else None
-                merged = uf.union(roots[0], uf.find(j))
-                if build_tree and top is not None:
-                    comp_top[uf.find(merged)] = top
-        active[j] = True
-
-    root = uf.find(order[0])
-    essential = uf.comp_min[root]
-    assert essential is not None
-    diagram = PersistenceDiagram(
-        pairs=tuple(sorted(pairs, key=lambda p: (p.persistence, p.birth_index))),
-        essential_min_index=essential[1],
+def _merge_tree(
+    values: np.ndarray,
+    extrema: list[ExtremumRecord],
+    merges: list[tuple[int, int, int, int]],
+) -> MergeTree:
+    """Replay the sweep's merges as a tree; node ids follow the sweep order."""
+    merge_at = {m[0]: m for m in merges}
+    order = sorted(
+        range(len(extrema)), key=lambda s: (values[extrema[s].index], extrema[s].index)
     )
+    rows: list[tuple] = []  # (f_value, sample_index, kind, children, paired_leaf)
+    top = [0] * len(extrema)  # newest node of the interval, kept at both ends
+    leaf = [0] * len(extrema)
+    for s in order:
+        rec = extrema[s]
+        f = float(values[rec.index])
+        if rec.kind is ExtremumKind.LOCAL_MIN:
+            top[s] = leaf[s] = len(rows)
+            rows.append((f, rec.index, NodeKind.LEAF, (), None))
+        elif s in merge_at:
+            _, a, b, dying = merge_at[s]
+            rows.append((f, rec.index, NodeKind.MERGE, (top[a], top[b]), leaf[dying]))
+            top[a] = top[b] = len(rows) - 1
+    # Every minimum lies below the last merge, so the newest node spans all.
+    g = int(np.argmax(values))
+    rows.append((float(values[g]), g, NodeKind.ROOT, (len(rows) - 1,), None))
 
-    tree: MergeTree | None = None
-    if build_tree:
-        g = int(np.argmax(values))
-        top = comp_top[uf.find(root)]
-        rid = new_node(values[g], g, NodeKind.ROOT, (top,))
-        tree = MergeTree(
-            nodes=tuple(
-                MergeTreeNode(
-                    node_id=n["node_id"],
-                    f_value=n["f_value"],
-                    sample_index=n["sample_index"],
-                    kind=n["kind"],
-                    parent=n["parent"] if n["node_id"] != rid else None,
-                    children=n["children"],
-                    paired_leaf=n["paired_leaf"],
-                )
-                for n in nodes
-            )
+    parent: list[int | None] = [None] * len(rows)
+    for nid, row in enumerate(rows):
+        for child in row[3]:
+            parent[child] = nid
+    return MergeTree(
+        nodes=tuple(
+            MergeTreeNode(nid, f, idx, kind, parent[nid], children, paired)
+            for nid, (f, idx, kind, children, paired) in enumerate(rows)
         )
-    return diagram, tree
+    )
 
 
 def compute_persistence(series: TimeSeries) -> tuple[PersistenceDiagram, MergeTree]:
@@ -229,17 +190,16 @@ def compute_persistence(series: TimeSeries) -> tuple[PersistenceDiagram, MergeTr
     essential record and the tree degenerates to one leaf under the root.
     """
     extrema = classify_extrema(series)  # validates
-    diagram, tree = _sweep(series.values, extrema, build_tree=True)
-    assert tree is not None
-    return diagram, tree
+    merges = list(_sweep(series.values, extrema))
+    diagram = _diagram(series.values, extrema, merges)
+    return diagram, _merge_tree(series.values, extrema, merges)
 
 
 def diagram_of(values) -> PersistenceDiagram:
-    """Persistence diagram of raw values (merge tree discarded)."""
+    """Persistence diagram of raw values; no merge tree is built."""
     if isinstance(values, TimeSeries):
         series = values
     else:
         series = TimeSeries(np.asarray(values, dtype=np.float64))
     extrema = classify_extrema(series)  # validates
-    diagram, _ = _sweep(series.values, extrema, build_tree=False)
-    return diagram
+    return _diagram(series.values, extrema, _sweep(series.values, extrema))

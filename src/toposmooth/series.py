@@ -10,7 +10,6 @@ run, which keeps the downstream pairing deterministic.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +93,7 @@ def validate(series: TimeSeries) -> list[str]:
         problems.append(f"length {n} < 2")
     bad = np.flatnonzero(~np.isfinite(values))
     for i in bad:
-        problems.append(f"non-finite value {values[i]!r} at index {int(i)}")
+        problems.append(f"non-finite value {float(values[i])} at index {int(i)}")
     if series.positions is not None:
         pos = series.positions
         if len(pos) != n:
@@ -170,30 +169,8 @@ def classify_extrema(series: TimeSeries) -> list[ExtremumRecord]:
     return records
 
 
-def collapse_index(values: np.ndarray, index: int) -> int:
-    """Leftmost index of the maximal run of equal values containing ``index``."""
-    i = index
-    while i > 0 and values[i - 1] == values[index]:
-        i -= 1
-    return i
-
-
-def global_min_index(values: np.ndarray) -> int:
-    """Index of the global minimum (leftmost on ties), run-collapsed."""
-    return collapse_index(values, int(np.argmin(values)))
-
-
 def sample_std(values: np.ndarray) -> float:
     """Sample standard deviation (ddof=1) used for entropy tolerances."""
     if len(values) < 2:
         return 0.0
     return float(np.std(np.asarray(values, dtype=np.float64), ddof=1))
-
-
-def is_monotone(values: np.ndarray, increasing: bool) -> bool:
-    d = np.diff(values)
-    return bool(np.all(d >= 0)) if increasing else bool(np.all(d <= 0))
-
-
-def nearly_equal(a: float, b: float, tol: float = 1e-12) -> bool:
-    return math.isclose(a, b, rel_tol=0.0, abs_tol=tol)

@@ -138,7 +138,7 @@ class TestCli:
                      "--output", str(data)]) == 0
         smoothed = tmp_path / "smoothed.csv"
         svg = tmp_path / "overlay.svg"
-        assert main(["smooth", "--input", str(data), "--method", "fraction",
+        assert main(["smooth", "--input", str(data), "--method", "topological",
                      "--param", "0.5", "--output", str(smoothed), "--svg", str(svg)]) == 0
         out = load_csv(smoothed)
         assert len(out) == 64
@@ -177,6 +177,55 @@ class TestCli:
         assert main(["synth", "--config", str(config), "--n", "48",
                      "--output", str(out_b)]) == 0
         assert len(load_csv(out_b)) == 48
+
+    @pytest.mark.parametrize(
+        "method,param",
+        [
+            ("gaussian", "inf"),
+            ("gaussian", "nan"),
+            ("median", "3.9"),
+            ("subsample", "1.5"),
+            ("cutoff", "-0.5"),
+            ("douglas-peucker", "nan"),
+        ],
+    )
+    def test_bad_parameter_is_one_error_line(self, tmp_path, capsys, method, param):
+        data = tmp_path / "data.csv"
+        data.write_text("1\n5\n2\n4\n0\n3\n")
+        out = tmp_path / "out.csv"
+        code = main(["smooth", "--input", str(data), "--method", method,
+                     f"--param={param}", "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {method.replace('-', '_')} parameter must be")
+        assert not out.exists()
+
+    def test_config_value_checked_like_a_flag(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("1\n2\n3\n")
+        config = tmp_path / "run.conf"
+        config.write_text("method=bogus\nparam=1\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["smooth", "--config", str(config), "--input", str(data),
+                  "--output", str(tmp_path / "out.csv")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_config_unknown_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("kind=noisy-sine\nparm=5\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["synth", "--config", str(config), "--output", str(tmp_path / "a.csv")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --parm=5" in capsys.readouterr().err
+
+    def test_config_equals_form(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("kind=random-walk\nn=40\n")
+        out = tmp_path / "a.csv"
+        assert main(["synth", f"--config={config}", "--output", str(out)]) == 0
+        assert len(load_csv(out)) == 40
 
     def test_evaluate_emits_report_and_charts(self, tmp_path):
         out_dir = tmp_path / "results"

@@ -173,3 +173,9 @@ class TestApproxEntropy:
             approx_entropy(series, m=2, r=0.0)
         with pytest.raises(ValueError):
             approx_entropy(TimeSeries([1.0, 2.0, 3.0]), m=2, r=0.5)
+
+    @pytest.mark.parametrize("r", [0.5, None])
+    def test_rejects_non_finite_sample(self, r):
+        values = [1.0, 2.0, 3.0, np.nan, 5.0, np.inf, 7.0]
+        with pytest.raises(ValueError, match="non-finite sample nan at index 3"):
+            approx_entropy(values, m=2, r=r)

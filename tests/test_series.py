@@ -104,7 +104,7 @@ def test_validate_positions_not_increasing():
 
 def test_validate_non_finite():
     problems = validate(TimeSeries([1.0, np.nan, np.inf]))
-    assert len([p for p in problems if "non-finite value" in p]) == 2
+    assert problems == ["non-finite value nan at index 1", "non-finite value inf at index 2"]
 
 
 def test_validate_position_count_mismatch():
