@@ -30,14 +30,11 @@ from .filters import (
 )
 from .io import load_csv, write_pairs_csv, write_report_json, write_series_csv
 from .metrics import (
-    DiagramPoint,
-    Matching,
     approx_entropy,
     bottleneck,
     norm_l1,
     norm_linf,
     wasserstein1,
-    wasserstein1_matching,
 )
 from .persistence import (
     ExtremaPair,
@@ -62,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_METHODS",
-    "DiagramPoint",
     "Direction",
     "EvaluationError",
     "EvaluationResult",
@@ -71,7 +67,6 @@ __all__ = [
     "ExtremumRecord",
     "FitLine",
     "Fraction",
-    "Matching",
     "MergeTree",
     "MergeTreeNode",
     "MethodRank",
@@ -106,7 +101,6 @@ __all__ = [
     "uniform_subsample",
     "validate",
     "wasserstein1",
-    "wasserstein1_matching",
     "write_pairs_csv",
     "write_report_json",
     "write_series_csv",

@@ -191,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_expand_config(argv))
         return _COMMANDS[args.command](args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -49,11 +49,13 @@ class Method(NamedTuple):
 
     def __call__(self, series: TimeSeries, param) -> TimeSeries:
         value = float(param)
+        # Errors name the method as --method spells it.
+        name = self.name.replace("_", "-")
         if not math.isfinite(value):
-            raise ValueError(f"{self.name} parameter must be finite, got {value}")
+            raise ValueError(f"{name} parameter must be finite, got {value}")
         if self.kind is int:
             if not value.is_integer():
-                raise ValueError(f"{self.name} parameter must be an integer, got {value}")
+                raise ValueError(f"{name} parameter must be an integer, got {value}")
             return self.apply(series, int(value))
         return self.apply(series, value)
 

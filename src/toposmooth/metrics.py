@@ -5,11 +5,17 @@ off-diagonal point of one diagram may match a point of the other or its
 own projection onto the diagonal. The l1 point cost makes the diagonal
 cost of a point its persistence; the l-infinity point cost makes it half
 the persistence.
+
+W1 is one assignment problem on the augmented (m+n) x (m+n) matrix. The
+bottleneck distance needs only the m x n cross block: at a cost t, a point
+whose half-persistence exceeds t is forced to match across, every other
+point may take the diagonal, and diagonal slots pair freely. A matching
+that covers the forced points of one diagram and one that covers those of
+the other combine into one that covers both (Mendelsohn-Dulmage), so t is
+feasible iff each side's forced points can be matched within t.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -17,29 +23,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .series import TimeSeries, sample_std
-
-
-@dataclass(frozen=True)
-class DiagramPoint:
-    birth: float
-    death: float
-
-    @property
-    def persistence(self) -> float:
-        return self.death - self.birth
-
-
-@dataclass(frozen=True)
-class Matching:
-    """An optimal bijection between two diagonally augmented diagrams.
-
-    Each entry pairs a point of the first diagram (or ``None`` for the
-    diagonal) with a point of the second (or ``None``); every off-diagonal
-    point appears exactly once.
-    """
-
-    pairs: tuple[tuple[tuple[float, float] | None, tuple[float, float] | None], ...]
-    total_cost: float
 
 
 def _values(x) -> np.ndarray:
@@ -70,111 +53,65 @@ def norm_linf(a, b) -> float:
 
 
 def _points(diagram) -> np.ndarray:
-    """Coerce diagram points to an (m, 2) array of (birth, death)."""
+    """Coerce a PersistenceDiagram or (birth, death) pairs to an (m, 2) array."""
     if hasattr(diagram, "finite_points"):
         diagram = diagram.finite_points()
-    pts = [
-        (p.birth, p.death) if isinstance(p, DiagramPoint) else (float(p[0]), float(p[1]))
-        for p in diagram
-    ]
+    pts = [(float(p[0]), float(p[1])) for p in diagram]
     out = np.asarray(pts, dtype=np.float64).reshape(len(pts), 2)
     if len(out) and not np.all(np.isfinite(out)):
         raise ValueError("diagram points must be finite")
     return out
 
 
-def wasserstein1_matching(c, c_prime) -> Matching:
-    """Optimal l1 matching under diagonal augmentation.
+def wasserstein1(c, c_prime) -> float:
+    """Minimum total l1 matching cost under diagonal augmentation.
 
     Solved exactly as an assignment problem on the (m+n) x (m+n)
-    augmented cost matrix; unmatched points pair with the diagonal at a
-    cost equal to their persistence.
+    augmented cost matrix; a point left unmatched takes its own diagonal
+    slot at a cost equal to its persistence, and diagonal slots pair
+    freely.
     """
     a, b = _points(c), _points(c_prime)
     m, n = len(a), len(b)
-    if m == 0 and n == 0:
-        return Matching(pairs=(), total_cost=0.0)
-    if m == 0:
-        return Matching(
-            pairs=tuple((None, tuple(q)) for q in b),
-            total_cost=float(np.sum(b[:, 1] - b[:, 0])),
-        )
-    if n == 0:
-        return Matching(
-            pairs=tuple((tuple(q), None) for q in a),
-            total_cost=float(np.sum(a[:, 1] - a[:, 0])),
-        )
-
-    cross = np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
-    pa = a[:, 1] - a[:, 0]
-    pb = b[:, 1] - b[:, 0]
-    big = float(cross.sum() + pa.sum() + pb.sum() + 1.0)
-
-    cost = np.zeros((m + n, m + n))
-    cost[:m, :n] = cross
-    cost[:m, n:] = big
-    cost[:m, n:][np.diag_indices(m)] = pa
-    cost[m:, :n] = big
-    cost[m:, :n][np.diag_indices(n)] = pb
+    cost = np.full((m + n, m + n), np.inf)
+    cost[:m, :n] = np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
+    cost[:m, n:][np.diag_indices(m)] = a[:, 1] - a[:, 0]
+    cost[m:, :n][np.diag_indices(n)] = b[:, 1] - b[:, 0]
+    cost[m:, n:] = 0.0
     rows, cols = linear_sum_assignment(cost)
-    pairs = []
-    for i, j in zip(rows, cols):
-        left = tuple(a[i]) if i < m else None
-        right = tuple(b[j]) if j < n else None
-        if left is not None or right is not None:
-            pairs.append((left, right))
-    return Matching(pairs=tuple(pairs), total_cost=float(cost[rows, cols].sum()))
+    return float(cost[rows, cols].sum())
 
 
-def wasserstein1(c, c_prime) -> float:
-    """Minimum total l1 matching cost under diagonal augmentation."""
-    return wasserstein1_matching(c, c_prime).total_cost
-
-
-def _bottleneck_feasible(cross: np.ndarray, pa: np.ndarray, pb: np.ndarray, t: float) -> bool:
-    """Is there a perfect matching whose largest cost is <= t?"""
-    m, n = len(pa), len(pb)
-    rr, cc = np.nonzero(cross <= t)
-    ia = np.flatnonzero(pa / 2.0 <= t)
-    jb = np.flatnonzero(pb / 2.0 <= t)
-    # Diagonal slots match each other freely.
-    dd_rows = np.repeat(np.arange(m, m + n), m)
-    dd_cols = np.tile(np.arange(n, n + m), n)
-    rows = np.concatenate([rr, ia, m + jb, dd_rows])
-    cols = np.concatenate([cc, n + ia, jb, dd_cols])
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(m + n, m + n)
-    )
-    match = maximum_bipartite_matching(graph, perm_type="column")
+def _covers_rows(adjacent: np.ndarray) -> bool:
+    """Does the bipartite graph given by ``adjacent`` match every row?"""
+    match = maximum_bipartite_matching(csr_matrix(adjacent), perm_type="column")
     return bool(np.all(match >= 0))
 
 
 def bottleneck(c, c_prime) -> float:
     """Minimax matching cost (l-infinity point cost, diagonal cost p/2).
 
-    Exact: binary search over the finite set of candidate costs, testing
-    bipartite feasibility at each.
+    Exact: binary search over the finite set of candidate costs. A cost t
+    is feasible iff the cross edges of cost <= t match every point of the
+    first diagram whose half-persistence exceeds t, and, separately, every
+    such point of the second; by Mendelsohn-Dulmage the two matchings
+    combine into one, and all other points go to the diagonal.
     """
     a, b = _points(c), _points(c_prime)
-    m, n = len(a), len(b)
-    pa = a[:, 1] - a[:, 0] if m else np.zeros(0)
-    pb = b[:, 1] - b[:, 0] if n else np.zeros(0)
-    if m == 0 and n == 0:
-        return 0.0
-    if m == 0:
-        return float(np.max(pb) / 2.0)
-    if n == 0:
-        return float(np.max(pa) / 2.0)
-
     cross = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
-    candidates = np.unique(
-        np.concatenate([cross.ravel(), pa / 2.0, pb / 2.0, [0.0]])
-    )
+    half_a = (a[:, 1] - a[:, 0]) / 2.0
+    half_b = (b[:, 1] - b[:, 0]) / 2.0
+    halves = np.concatenate([half_a, half_b, [0.0]])
+    candidates = np.unique(np.concatenate([cross.ravel(), halves]))
+    # Sending every point to the diagonal costs the largest half-persistence,
+    # so the largest candidate kept is feasible.
+    candidates = candidates[candidates <= halves.max()]
     lo, hi = 0, len(candidates) - 1
-    # The largest candidate is always feasible (everything matches).
     while lo < hi:
         mid = (lo + hi) // 2
-        if _bottleneck_feasible(cross, pa, pb, float(candidates[mid])):
+        t = float(candidates[mid])
+        close = cross <= t
+        if _covers_rows(close[half_a > t]) and _covers_rows(close[:, half_b > t].T):
             hi = mid
         else:
             lo = mid + 1

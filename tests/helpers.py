@@ -29,6 +29,15 @@ diagram_points = st.lists(
     min_size=0,
     max_size=4,
 )
+# Integer points from a small range: duplicate points, equal candidate
+# costs, and touching intervals whose l1 cross cost equals pa + pb.
+tie_rich_diagram_points = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(1, 3)).map(
+        lambda bp: (float(bp[0]), float(bp[0] + bp[1]))
+    ),
+    min_size=0,
+    max_size=4,
+)
 
 
 def random_values(rng: np.random.Generator, n: int) -> np.ndarray:

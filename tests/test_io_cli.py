@@ -187,6 +187,7 @@ class TestCli:
             ("subsample", "1.5"),
             ("cutoff", "-0.5"),
             ("douglas-peucker", "nan"),
+            ("topological-threshold", "nan"),
         ],
     )
     def test_bad_parameter_is_one_error_line(self, tmp_path, capsys, method, param):
@@ -198,7 +199,27 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"error: {method.replace('-', '_')} parameter must be")
+        assert err[0].startswith(f"error: {method} parameter must be")
+        assert not out.exists()
+
+    # Sizes of tens to hundreds of TiB: allocation fails at once.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["smooth", "--method", "median", "--param", "10000000000001"],
+            ["smooth", "--method", "gaussian", "--param", "1e13"],
+            ["synth", "--kind", "noisy-sine", "--n", "100000000000000"],
+        ],
+    )
+    def test_unallocatable_size_is_one_error_line(self, tmp_path, capsys, args):
+        data = tmp_path / "data.csv"
+        data.write_text("1\n5\n2\n4\n0\n3\n")
+        out = tmp_path / "out.csv"
+        inputs = ["--input", str(data)] if args[0] == "smooth" else []
+        assert main([*args, *inputs, "--output", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: Unable to allocate")
         assert not out.exists()
 
     def test_config_value_checked_like_a_flag(self, tmp_path, capsys):

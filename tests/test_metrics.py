@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from helpers import any_series, diagram_points, random_diagram
+from helpers import any_series, diagram_points, random_diagram, tie_rich_diagram_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import apen_direct, exhaustive_bottleneck, exhaustive_wasserstein1
 
+import toposmooth
 from toposmooth import (
     Threshold,
     TimeSeries,
@@ -15,8 +16,14 @@ from toposmooth import (
     norm_linf,
     simplify,
     wasserstein1,
-    wasserstein1_matching,
 )
+
+oracle_diagrams = st.one_of(diagram_points, tie_rich_diagram_points)
+
+
+def test_public_names_resolve():
+    for name in toposmooth.__all__:
+        assert hasattr(toposmooth, name), name
 
 
 class TestNorms:
@@ -72,11 +79,12 @@ class TestDiagramDistances:
         assert wasserstein1(d1, d2) == 0.0
         assert bottleneck(d1, d2) == 0.0
 
-    @given(diagram_points, diagram_points)
+    @given(oracle_diagrams, oracle_diagrams)
     @settings(max_examples=150, deadline=None)
     def test_matches_exhaustive_oracle(self, c1, c2):
         assert abs(wasserstein1(c1, c2) - exhaustive_wasserstein1(c1, c2)) <= 1e-9
-        assert abs(bottleneck(c1, c2) - exhaustive_bottleneck(c1, c2)) <= 1e-9
+        # Both pick the same candidate cost, computed by the same float operations.
+        assert bottleneck(c1, c2) == exhaustive_bottleneck(c1, c2)
 
     @given(diagram_points, diagram_points)
     @settings(max_examples=60, deadline=None)
@@ -108,25 +116,6 @@ class TestDiagramDistances:
             c2 = random_diagram(rng, 5)
             assert abs(wasserstein1(c1, c2) - exhaustive_wasserstein1(c1, c2)) <= 1e-9
             assert abs(bottleneck(c1, c2) - exhaustive_bottleneck(c1, c2)) <= 1e-9
-
-    @given(diagram_points, diagram_points)
-    @settings(max_examples=60, deadline=None)
-    def test_matching_covers_every_point_once(self, c1, c2):
-        matching = wasserstein1_matching(c1, c2)
-        assert matching.total_cost == wasserstein1(c1, c2)
-        lefts = [p[0] for p in matching.pairs if p[0] is not None]
-        rights = [p[1] for p in matching.pairs if p[1] is not None]
-        assert sorted(lefts) == sorted(c1)
-        assert sorted(rights) == sorted(c2)
-        recomputed = 0.0
-        for left, right in matching.pairs:
-            if left is None:
-                recomputed += right[1] - right[0]
-            elif right is None:
-                recomputed += left[1] - left[0]
-            else:
-                recomputed += abs(left[0] - right[0]) + abs(left[1] - right[1])
-        assert abs(recomputed - matching.total_cost) <= 1e-9
 
 
 @given(any_series, st.floats(0.0, 8.0, allow_nan=False))
