@@ -36,15 +36,7 @@ from .metrics import (
     norm_linf,
     wasserstein1,
 )
-from .persistence import (
-    ExtremaPair,
-    MergeTree,
-    MergeTreeNode,
-    NodeKind,
-    PersistenceDiagram,
-    compute_persistence,
-    diagram_of,
-)
+from .persistence import ExtremaPair, PersistenceDiagram, diagram_of
 from .series import (
     ExtremumKind,
     ExtremumRecord,
@@ -67,10 +59,7 @@ __all__ = [
     "ExtremumRecord",
     "FitLine",
     "Fraction",
-    "MergeTree",
-    "MergeTreeNode",
     "MethodRank",
-    "NodeKind",
     "PersistenceDiagram",
     "RankReport",
     "SweepPoint",
@@ -80,7 +69,6 @@ __all__ = [
     "auc",
     "bottleneck",
     "classify_extrema",
-    "compute_persistence",
     "cutoff_filter",
     "default_grids",
     "diagram_of",

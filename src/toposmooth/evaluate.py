@@ -306,27 +306,28 @@ class EvaluationResult:
 
 def evaluate_series(
     series: TimeSeries,
-    methods: tuple[str, ...] = DEFAULT_METHODS,
-    grids: dict[str, list[float]] | None = None,
     m: int = 2,
     r_factor: float = 0.2,
 ) -> EvaluationResult:
-    """Full sweep -> fit -> AUC -> rank pipeline for one dataset."""
+    """Full sweep -> fit -> AUC -> rank pipeline for one dataset.
+
+    Sweeps every method of ``DEFAULT_METHODS`` over its default grid.
+    """
     require_valid(series)
     std = sample_std(series.values)
     if std == 0:
         raise EvaluationError("series is constant; entropy calibration undefined")
     r = r_factor * std
-    if grids is None:
-        value_range = float(np.max(series.values) - np.min(series.values))
-        grids = default_grids(len(series), value_range)
+    value_range = float(np.max(series.values) - np.min(series.values))
+    grids = default_grids(len(series), value_range)
+    methods = sorted(DEFAULT_METHODS)
 
     all_points: dict[str, tuple[SweepPoint, ...]] = {}
     failures: list[str] = []
     fits: dict[tuple[str, str], FitLine] = {}
     domains: list[tuple[float, float]] = []
     unrankable: set[str] = set()
-    for method in sorted(methods):
+    for method in methods:
         points, fails = sweep(series, method, grids[method], m=m, r=r)
         failures.extend(fails)
         all_points[method] = tuple(sorted(points, key=lambda p: p.parameter))
@@ -350,7 +351,7 @@ def evaluate_series(
         )
 
     aucs: dict[str, dict[str, float | None]] = {name: {} for name in METRIC_NAMES}
-    for method in sorted(methods):
+    for method in methods:
         for metric in METRIC_NAMES:
             if method in unrankable:
                 aucs[metric][method] = None

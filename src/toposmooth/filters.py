@@ -33,18 +33,22 @@ def gaussian_filter(series: TimeSeries, sigma: float) -> TimeSeries:
 
     Kernel radius is ceil(3*sigma); weights exp(-k^2 / (2 sigma^2)) are
     renormalized to sum to 1, so constants pass through unchanged.
-    ``sigma`` = 0 returns the input.
+    ``sigma`` = 0 returns the input, as does a sigma whose square underflows
+    to 0.
     """
     require_valid(series)
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
+    if sigma**2 == 0:
         return series.with_values(series.values)
     radius = math.ceil(3.0 * sigma)
     k = np.arange(-radius, radius + 1, dtype=np.float64)
-    weights = np.exp(-(k**2) / (2.0 * sigma**2))
+    # Below sigma ~ 5e-155 the off-centre exponents overflow to -inf, whose
+    # exp is the exact limit 0.
+    with np.errstate(over="ignore"):
+        weights = np.exp(-(k**2) / (2.0 * sigma**2))
     weights /= weights.sum()
     padded = np.pad(series.values, radius, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * radius + 1)

@@ -138,35 +138,24 @@ def classify_extrema(series: TimeSeries) -> list[ExtremumRecord]:
     require_valid(series)
     values = series.values
     starts, ends = _runs(values)
-    k = len(starts)
-    if k == 1:
-        return [
-            ExtremumRecord(0, ExtremumKind.LOCAL_MIN, True, (0, len(values) - 1))
-        ]
+    last = len(values) - 1
+    if len(starts) == 1:
+        return [ExtremumRecord(0, ExtremumKind.LOCAL_MIN, True, (0, last))]
 
-    run_values = values[starts]
-    rising = np.diff(run_values) > 0  # run j -> j+1 strictly rises or falls
-
-    records: list[ExtremumRecord] = []
-    for j in range(k):
-        if j == 0:
-            kind = ExtremumKind.LOCAL_MIN if rising[0] else ExtremumKind.LOCAL_MAX
-            boundary = True
-        elif j == k - 1:
-            kind = ExtremumKind.LOCAL_MIN if not rising[k - 2] else ExtremumKind.LOCAL_MAX
-            boundary = True
-        else:
-            if not rising[j - 1] and rising[j]:
-                kind = ExtremumKind.LOCAL_MIN
-            elif rising[j - 1] and not rising[j]:
-                kind = ExtremumKind.LOCAL_MAX
-            else:
-                continue  # monotone through this run
-            boundary = False
-        records.append(
-            ExtremumRecord(int(starts[j]), kind, boundary, (int(starts[j]), int(ends[j])))
+    # A run is an extremum where the direction changes across it; each
+    # boundary run counts as a change. It is a minimum iff the series rises
+    # after it.
+    rising = np.diff(values[starts]) > 0  # run j -> j+1 strictly rises or falls
+    before = np.concatenate(([not rising[0]], rising))
+    after = np.concatenate((rising, [not rising[-1]]))
+    runs = np.flatnonzero(before != after)
+    kind = {True: ExtremumKind.LOCAL_MIN, False: ExtremumKind.LOCAL_MAX}
+    return [
+        ExtremumRecord(lo, kind[is_min], lo == 0 or hi == last, (lo, hi))
+        for lo, hi, is_min in zip(
+            starts[runs].tolist(), ends[runs].tolist(), after[runs].tolist()
         )
-    return records
+    ]
 
 
 def sample_std(values: np.ndarray) -> float:

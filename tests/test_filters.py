@@ -48,9 +48,11 @@ class TestMedian:
 
 
 class TestGaussian:
-    def test_sigma_zero_identity(self):
+    # 1e-200 and 5e-324 square to 0; at 1e-160 1/(2 sigma^2) overflows.
+    @pytest.mark.parametrize("sigma", [0.0, 1e-200, 5e-324, 1e-160])
+    def test_sigma_zero_identity(self, sigma):
         series = TimeSeries([3, 1, 4, 1, 5])
-        assert np.array_equal(gaussian_filter(series, 0.0).values, series.values)
+        assert np.array_equal(gaussian_filter(series, sigma).values, series.values)
 
     def test_constant_unchanged(self):
         out = gaussian_filter(TimeSeries([2.5] * 9), 3.0)

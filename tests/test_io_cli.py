@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toposmooth import TimeSeries, generate_synthetic, load_csv
-from toposmooth.cli import main
+from toposmooth.cli import CLI_METHODS, main
 from toposmooth.io import (
     canonical_json,
     fmt,
@@ -201,6 +205,35 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith(f"error: {method} parameter must be")
         assert not out.exists()
+
+    # Magnitudes stay within 1e4: a median window near 1e8 would really be
+    # allocated (gigabytes), not refused at once.
+    @pytest.mark.parametrize("method", CLI_METHODS)
+    @settings(deadline=None)
+    @given(
+        param=st.floats(-1e4, 1e4)
+        | st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                           5e-324, 1e-200, 1e-160, -0.0])
+    )
+    def test_any_parameter_is_a_result_or_one_error_line(
+        self, tmp_path_factory, method, param
+    ):
+        folder = tmp_path_factory.mktemp("fuzz")
+        data = folder / "data.csv"
+        data.write_text("1\n5\n2\n4\n0\n3\n")
+        out = folder / "out.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["smooth", "--input", str(data), "--method", method,
+                         f"--param={param!r}", "--output", str(out)])
+        if code == 0:
+            values = load_csv(out).values
+            assert len(values) == 6 and np.all(np.isfinite(values))
+        else:
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out.exists()
 
     # Sizes of tens to hundreds of TiB: allocation fails at once.
     @pytest.mark.parametrize(

@@ -4,13 +4,7 @@ from helpers import any_series
 from hypothesis import given, settings
 from oracles import sublevel_pairs
 
-from toposmooth import (
-    NodeKind,
-    TimeSeries,
-    classify_extrema,
-    compute_persistence,
-    diagram_of,
-)
+from toposmooth import TimeSeries, classify_extrema, diagram_of
 from toposmooth.series import ExtremumKind
 
 
@@ -156,40 +150,6 @@ def test_no_index_reused_and_strict_amplitude(values):
         seen.update((p.birth_index, p.death_index))
 
 
-@given(any_series)
-def test_merge_tree_shape(values):
-    diagram, tree = compute_persistence(TimeSeries(values))
-    leaves = tree.leaves()
-    merges = tree.merges()
-    assert len(leaves) == len(merges) + 1
-    assert len(merges) == len(diagram.pairs)
-    by_id = {n.node_id: n for n in tree.nodes}
-    roots = [n for n in tree.nodes if n.kind is NodeKind.ROOT]
-    assert len(roots) == 1
-    for node in tree.nodes:
-        if node.parent is not None:
-            assert by_id[node.parent].f_value >= node.f_value
-        for child in node.children:
-            assert by_id[child].parent == node.node_id
-    for node in merges:
-        paired = by_id[node.paired_leaf]
-        assert paired.kind is NodeKind.LEAF
-        # The paired leaf is the higher-valued minimum among the subtree
-        # minima of the two children.
-        child_mins = []
-        for child in node.children:
-            stack, best = [child], None
-            while stack:
-                cur = by_id[stack.pop()]
-                if cur.kind is NodeKind.LEAF:
-                    key = (cur.f_value, cur.sample_index)
-                    if best is None or key < best:
-                        best = key
-                stack.extend(by_id[cur.node_id].children)
-            child_mins.append(best)
-        assert (paired.f_value, paired.sample_index) == max(child_mins)
-
-
 def test_complexity_dominated_by_extrema():
     # 10^6 samples, ~10^3 extrema: classification is vectorized and the
     # sweep touches only the extrema, so this must be fast.
@@ -199,7 +159,7 @@ def test_complexity_dominated_by_extrema():
     t = np.linspace(0.0, 500.0 * 2.0 * np.pi, n)
     series = TimeSeries(np.sin(t))
     start = time.perf_counter()
-    diagram, _ = compute_persistence(series)
+    diagram = diagram_of(series)
     elapsed = time.perf_counter() - start
     assert len(diagram.pairs) >= 450
     assert elapsed < 10.0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from helpers import any_series
@@ -62,6 +64,17 @@ def test_classify_matches_neighbour_comparison_oracle(values):
         (r.index, r.kind.value, r.is_boundary, r.plateau_span) for r in records
     ]
     assert got == expected
+
+
+def test_classify_matches_oracle_exhaustively():
+    # Every series of length 2-7 over {0, 1, 2, 3}: 21,840 in all.
+    for n in range(2, 8):
+        for values in itertools.product(range(4), repeat=n):
+            got = [
+                (r.index, r.kind.value, r.is_boundary, r.plateau_span)
+                for r in classify_extrema(TimeSeries(values))
+            ]
+            assert got == classify_by_neighbours(values), values
 
 
 @given(any_series)
