@@ -44,14 +44,13 @@ from .series import (
     classify_extrema,
     validate,
 )
-from .simplify import Direction, Fraction, Threshold, isotonic_fit, select_pairs, simplify
+from .simplify import Fraction, Threshold, isotonic_fit, select_pairs, simplify
 from .synth import generate_synthetic
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_METHODS",
-    "Direction",
     "EvaluationError",
     "EvaluationResult",
     "ExtremaPair",

@@ -32,20 +32,21 @@ from .series import TimeSeries, require_valid, sample_std
 from .simplify import Fraction, Threshold, simplify
 
 METRIC_NAMES = ("l1", "linf", "w1", "bottleneck")
+GRID_LEVELS = 12  # grid points before cutoff and subsample merge duplicates
 
 
 class Method(NamedTuple):
     """A smoothing method: how to apply it, its parameter kind, its grid.
 
     Calling the entry coerces and checks the parameter, then applies the
-    method. ``grid(n, value_range, levels)`` gives the default sweep, light
-    to heavy smoothing; a method without one is not in ``DEFAULT_METHODS``.
+    method. ``grid(n, value_range)`` gives the default sweep, light to
+    heavy smoothing; a method without one is not in ``DEFAULT_METHODS``.
     """
 
     name: str
     kind: type
     apply: Callable[[TimeSeries, float], TimeSeries]
-    grid: Callable[[int, float, int], list[float]] | None = None
+    grid: Callable[[int, float], list[float]] | None = None
 
     def __call__(self, series: TimeSeries, param) -> TimeSeries:
         value = float(param)
@@ -69,20 +70,20 @@ METHODS = {
             "topological",
             float,
             lambda s, q: simplify(s, Fraction(q)),
-            lambda n, span, levels: [float(q) for q in np.linspace(0.05, 0.95, levels)],
+            lambda n, span: [float(q) for q in np.linspace(0.05, 0.95, GRID_LEVELS)],
         ),
         Method("topological_threshold", float, lambda s, t: simplify(s, Threshold(t))),
         Method(
             "median",
             int,
             lambda s, w: median_filter(s, w),
-            lambda n, span, levels: [float(3 + 4 * i) for i in range(levels)],
+            lambda n, span: [float(3 + 4 * i) for i in range(GRID_LEVELS)],
         ),
         Method(
             "gaussian",
             float,
             lambda s, sig: gaussian_filter(s, sig),
-            lambda n, span, levels: [float(g) for g in np.geomspace(0.5, 64.0, levels)],
+            lambda n, span: [float(g) for g in np.geomspace(0.5, 64.0, GRID_LEVELS)],
         ),
         # Tops out at n//4 rather than the no-op n//2: keeping the full
         # spectrum reproduces the input exactly, which is not a smoothing level.
@@ -90,8 +91,11 @@ METHODS = {
             "cutoff",
             int,
             lambda s, k: cutoff_filter(s, k),
-            lambda n, span, levels: sorted(
-                {float(max(1, round(k))) for k in np.geomspace(max(1, n // 4), 1, levels)},
+            lambda n, span: sorted(
+                {
+                    float(max(1, round(k)))
+                    for k in np.geomspace(max(1, n // 4), 1, GRID_LEVELS)
+                },
                 reverse=True,
             ),
         ),
@@ -99,17 +103,15 @@ METHODS = {
             "subsample",
             int,
             lambda s, st: uniform_subsample(s, st),
-            lambda n, span, levels: sorted(
-                {float(round(x)) for x in np.geomspace(2, min(128, n // 2), levels)}
+            lambda n, span: sorted(
+                {float(round(x)) for x in np.geomspace(2, min(128, n // 2), GRID_LEVELS)}
             ),
         ),
         Method(
             "douglas_peucker",
             float,
             lambda s, e: douglas_peucker(s, e),
-            lambda n, span, levels: [
-                float(f * span) for f in np.geomspace(0.01, 0.9, levels)
-            ],
+            lambda n, span: [float(f * span) for f in np.geomspace(0.01, 0.9, GRID_LEVELS)],
         ),
     )
 }
@@ -130,14 +132,6 @@ class SweepPoint:
     linf: float
     w1: float
     bottleneck: float
-
-    def metric(self, name: str) -> float:
-        return {
-            "l1": self.l1,
-            "linf": self.linf,
-            "w1": self.w1,
-            "bottleneck": self.bottleneck,
-        }[name]
 
 
 @dataclass(frozen=True)
@@ -167,9 +161,9 @@ class RankReport:
     shared_domain: tuple[float, float]
 
 
-def default_grids(n: int, value_range: float, levels: int = 12) -> dict[str, list[float]]:
+def default_grids(n: int, value_range: float) -> dict[str, list[float]]:
     """Per-method parameter grids covering light to heavy smoothing."""
-    return {name: METHODS[name].grid(n, value_range, levels) for name in DEFAULT_METHODS}
+    return {name: METHODS[name].grid(n, value_range) for name in DEFAULT_METHODS}
 
 
 def sweep(
@@ -179,10 +173,12 @@ def sweep(
     m: int = 2,
     r: float | None = None,
 ) -> tuple[list[SweepPoint], list[str]]:
-    """One SweepPoint per grid parameter; failures are recorded, not raised.
+    """One SweepPoint per grid parameter the method can apply.
 
-    ``r`` is the entropy tolerance, fixed from the original series for the
-    whole sweep so entropy values are comparable across methods.
+    A parameter it cannot apply is recorded as a failure; a bad ``m`` or
+    ``r`` raises. ``r`` is the entropy tolerance, fixed from the original
+    series for the whole sweep so entropy values are comparable across
+    methods.
     """
     require_valid(series)
     if not grid:
@@ -200,19 +196,20 @@ def sweep(
         try:
             smoothed = apply(series, param)
             smoothed_diagram = diagram_of(smoothed)
-            points.append(
-                SweepPoint(
-                    method=method,
-                    parameter=float(param),
-                    entropy=approx_entropy(smoothed, m=m, r=r),
-                    l1=norm_l1(series, smoothed),
-                    linf=norm_linf(series, smoothed),
-                    w1=wasserstein1(original_diagram, smoothed_diagram),
-                    bottleneck=bottleneck(original_diagram, smoothed_diagram),
-                )
-            )
         except (ValueError, ArithmeticError) as exc:
             failures.append(f"{method} parameter {param!r}: {exc}")
+            continue
+        points.append(
+            SweepPoint(
+                method=method,
+                parameter=float(param),
+                entropy=approx_entropy(smoothed, m=m, r=r),
+                l1=norm_l1(series, smoothed),
+                linf=norm_linf(series, smoothed),
+                w1=wasserstein1(original_diagram, smoothed_diagram),
+                bottleneck=bottleneck(original_diagram, smoothed_diagram),
+            )
+        )
     return points, failures
 
 
@@ -270,23 +267,20 @@ def rank_methods(
     if len(methods) < 2:
         raise EvaluationError(f"need >= 2 methods to rank, got {len(methods)}")
     per_metric: dict[str, tuple[MethodRank, ...]] = {}
-    totals = {m: 0.0 for m in methods}
     for metric in METRIC_NAMES:
         per = aucs[metric]
-        rankable = sorted(
-            (m for m in methods if per.get(m) is not None),
-            key=lambda m: (per[m], m),
+        missing = [m for m in methods if per.get(m) is None]
+        ranked = sorted((m for m in methods if m not in missing), key=lambda m: (per[m], m))
+        # In (rank, method) order: rankable by (AUC, name), then the rest by name.
+        per_metric[metric] = tuple(
+            [MethodRank(m, per[m], pos) for pos, m in enumerate(ranked, start=1)]
+            + [MethodRank(m, None, len(methods) + 1, unrankable=True) for m in missing]
         )
-        entries = []
-        for pos, m in enumerate(rankable, start=1):
-            entries.append(MethodRank(m, per[m], pos))
-            totals[m] += pos
-        for m in methods:
-            if per.get(m) is None:
-                entries.append(MethodRank(m, None, len(methods) + 1, unrankable=True))
-                totals[m] += len(methods) + 1
-        per_metric[metric] = tuple(sorted(entries, key=lambda e: (e.rank, e.method)))
-    overall = {m: totals[m] / len(METRIC_NAMES) for m in methods}
+    overall = {
+        m: sum(e.rank for entries in per_metric.values() for e in entries if e.method == m)
+        / len(METRIC_NAMES)
+        for m in methods
+    }
     return RankReport(
         dataset=dataset,
         methods=tuple(methods),
@@ -325,38 +319,36 @@ def evaluate_series(
     all_points: dict[str, tuple[SweepPoint, ...]] = {}
     failures: list[str] = []
     fits: dict[tuple[str, str], FitLine] = {}
-    domains: list[tuple[float, float]] = []
-    unrankable: set[str] = set()
     for method in methods:
         points, fails = sweep(series, method, grids[method], m=m, r=r)
         failures.extend(fails)
         all_points[method] = tuple(sorted(points, key=lambda p: p.parameter))
+        # The four fits share the method's entropies and its domain, so they
+        # all succeed or all fail; a method is rankable iff its fits exist.
         try:
             for metric in METRIC_NAMES:
                 fits[(method, metric)] = fit_line(
-                    [(p.entropy, p.metric(metric)) for p in points]
+                    [(p.entropy, getattr(p, metric)) for p in points]
                 )
-            domains.append(fits[(method, "l1")].domain)
         except EvaluationError as exc:
-            unrankable.add(method)
             failures.append(f"{method}: {exc}")
 
-    if not domains:
+    if not fits:
         raise EvaluationError("no method produced a usable entropy sweep")
-    e0 = max(d[0] for d in domains)
-    e1 = min(d[1] for d in domains)
+    e0 = max(f.domain[0] for f in fits.values())
+    e1 = min(f.domain[1] for f in fits.values())
     if not e0 < e1:
         raise EvaluationError(
             f"entropy ranges of the methods do not overlap (intersection [{e0}, {e1}])"
         )
 
-    aucs: dict[str, dict[str, float | None]] = {name: {} for name in METRIC_NAMES}
-    for method in methods:
-        for metric in METRIC_NAMES:
-            if method in unrankable:
-                aucs[metric][method] = None
-            else:
-                aucs[metric][method] = auc(fits[(method, metric)], (e0, e1))
+    aucs = {
+        metric: {
+            name: auc(fits[(name, metric)], (e0, e1)) if (name, metric) in fits else None
+            for name in methods
+        }
+        for metric in METRIC_NAMES
+    }
 
     report = rank_methods(series.label or "series", aucs, (e0, e1))
     return EvaluationResult(

@@ -209,7 +209,7 @@ def svg_metric_scatter(
 ) -> str:
     """Metric-versus-entropy scatter with each method's fitted line."""
     xs = [p.entropy for pts in points_by_method.values() for p in pts]
-    ys = [p.metric(metric) for pts in points_by_method.values() for p in pts]
+    ys = [getattr(p, metric) for pts in points_by_method.values() for p in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(0.0, min(ys)), max(ys)
     parts = _svg_header(title)
@@ -217,7 +217,7 @@ def svg_metric_scatter(
         color = _PALETTE[i % len(_PALETTE)]
         for p in points_by_method[method]:
             cx = _scale([p.entropy], x_lo, x_hi, _M, _W - _M)[0]
-            cy = _scale([p.metric(metric)], y_lo, y_hi, _H - _M, _M)[0]
+            cy = _scale([getattr(p, metric)], y_lo, y_hi, _H - _M, _M)[0]
             parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.5" fill="{color}"/>')
         fit = fits.get((method, metric))
         if fit is not None:

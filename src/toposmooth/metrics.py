@@ -135,8 +135,8 @@ def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if r is None:
         r = 0.2 * sample_std(x)
-    if not (r > 0):
-        raise ValueError(f"r must be > 0, got {r}")
+    if not (0 < r < np.inf):
+        raise ValueError(f"r must be finite and > 0, got {r}")
     n = len(x)
     if n <= m + 1:
         raise ValueError(f"series of length {n} too short for m={m}")

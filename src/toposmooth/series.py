@@ -111,10 +111,11 @@ def validate(series: TimeSeries) -> list[str]:
 
 
 def require_valid(series: TimeSeries) -> None:
-    """Raise ``ValueError`` listing all violations if the series is invalid."""
+    """Raise ``ValueError`` naming the first violations if the series is invalid."""
     problems = validate(series)
     if problems:
-        raise ValueError("invalid series: " + "; ".join(problems))
+        more = f"; and {len(problems) - 5} more" if len(problems) > 5 else ""
+        raise ValueError("invalid series: " + "; ".join(problems[:5]) + more)
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,14 +12,14 @@ identity.
 
 from __future__ import annotations
 
-import enum
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .persistence import ExtremaPair, PersistenceDiagram, diagram_of
-from .series import TimeSeries, require_valid
+from .series import TimeSeries
 
 
 @dataclass(frozen=True)
@@ -61,42 +61,29 @@ def select_pairs(
 ) -> tuple[tuple[ExtremaPair, ...], tuple[ExtremaPair, ...]]:
     """Split the diagram's pairs into (retained, removed) under a policy.
 
-    Both lists come back ordered by ascending persistence, ties by
+    Both halves keep the diagram's order: ascending persistence, ties by
     ascending birth index.
     """
-    def order(pairs):
-        return tuple(sorted(pairs, key=lambda p: (p.persistence, p.birth_index)))
-
+    pairs = diagram.pairs
     if isinstance(policy, Threshold):
-        removed = order(p for p in diagram.pairs if p.persistence < policy.value)
-        retained = order(p for p in diagram.pairs if p.persistence >= policy.value)
-    elif isinstance(policy, Fraction):
-        ranked = sorted(diagram.pairs, key=_removal_rank)
-        cut = math.floor(policy.value * len(ranked))
-        removed = order(ranked[:cut])
-        retained = order(ranked[cut:])
-    else:
-        raise TypeError(f"unknown policy {policy!r}")
-    return retained, removed
+        # The pairs are sorted by persistence, so the removed ones are a prefix.
+        cut = bisect.bisect_left(pairs, policy.value, key=lambda p: p.persistence)
+        return pairs[cut:], pairs[:cut]
+    if isinstance(policy, Fraction):
+        ranked = sorted(range(len(pairs)), key=lambda i: _removal_rank(pairs[i]))
+        drop = set(ranked[: math.floor(policy.value * len(pairs))])
+        return (
+            tuple(p for i, p in enumerate(pairs) if i not in drop),
+            tuple(p for i, p in enumerate(pairs) if i in drop),
+        )
+    raise TypeError(f"unknown policy {policy!r}")
 
 
-class Direction(enum.Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-
-
-def isotonic_fit(values, direction: Direction = Direction.INCREASING) -> np.ndarray:
-    """Least-squares monotone projection (pool-adjacent-violators, O(n)).
-
-    The decreasing fit is computed by negating, fitting increasing and
-    negating back.
-    """
+def isotonic_fit(values) -> np.ndarray:
+    """Least-squares non-decreasing fit (pool-adjacent-violators, O(n))."""
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("isotonic_fit expects a non-empty 1D sequence")
-    if direction is Direction.DECREASING:
-        return -isotonic_fit(-x, Direction.INCREASING)
-
     # Stack of blocks (mean, weight); merge while the tail violates order.
     means: list[float] = []
     weights: list[int] = []
@@ -111,16 +98,6 @@ def isotonic_fit(values, direction: Direction = Direction.INCREASING) -> np.ndar
     return np.repeat(means, weights)
 
 
-def _anchor_indices(
-    diagram: PersistenceDiagram, retained: tuple[ExtremaPair, ...], n: int
-) -> list[int]:
-    anchors = {0, n - 1, diagram.essential_min_index}
-    for p in retained:
-        anchors.add(p.birth_index)
-        anchors.add(p.death_index)
-    return sorted(anchors)
-
-
 def simplify(series: TimeSeries, policy: SimplifyPolicy) -> TimeSeries:
     """Smooth a series by removing extrema pairs selected by ``policy``.
 
@@ -128,10 +105,12 @@ def simplify(series: TimeSeries, policy: SimplifyPolicy) -> TimeSeries:
     every anchor, and is monotone between consecutive anchors (direction
     set by the anchor values).
     """
-    require_valid(series)
-    diagram = diagram_of(series)
+    diagram = diagram_of(series)  # validates
     retained, _ = select_pairs(diagram, policy)
-    anchors = _anchor_indices(diagram, retained, len(series))
+    anchors = sorted(
+        {0, len(series) - 1, diagram.essential_min_index}
+        | {i for p in retained for i in (p.birth_index, p.death_index)}
+    )
 
     values = series.values
     out = np.array(values, dtype=np.float64)
@@ -140,8 +119,10 @@ def simplify(series: TimeSeries, policy: SimplifyPolicy) -> TimeSeries:
             continue
         seg = values[left : right + 1]
         lo, hi = float(values[left]), float(values[right])
-        direction = Direction.INCREASING if lo <= hi else Direction.DECREASING
-        fitted = isotonic_fit(seg, direction)
+        # A falling segment is the negated non-decreasing fit of its negation;
+        # negation is exact.
+        sign = 1.0 if lo <= hi else -1.0
+        fitted = sign * isotonic_fit(sign * seg)
         np.clip(fitted, min(lo, hi), max(lo, hi), out=fitted)
         fitted[0], fitted[-1] = lo, hi
         out[left : right + 1] = fitted

@@ -52,6 +52,15 @@ class TestSweep:
         assert len(points) == 2
         assert len(failures) == 1 and "4" in failures[0]
 
+    def test_bad_entropy_arguments_raise(self):
+        # A measure that cannot be taken is an error of the request, not a
+        # failure of one grid point.
+        series = TimeSeries([0.0, 1.0, 0.5, 2.0] * 8)
+        with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+            sweep(series, "median", [3, 5], m=0)
+        with pytest.raises(ValueError, match="r must be finite and > 0, got inf"):
+            sweep(series, "median", [3, 5], r=float("inf"))
+
     def test_rejects_unknown_method_and_empty_grid(self):
         series = TimeSeries([0.0, 1.0] * 8)
         with pytest.raises(ValueError):

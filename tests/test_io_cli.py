@@ -255,6 +255,34 @@ class TestCli:
         assert err[0].startswith("error: Unable to allocate")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "entropy"])
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--m=0", "m must be >= 1, got 0"),
+            ("--m=2000", "series of length 256 too short for m=2000"),
+            ("--r-factor=nan", "r must be finite and > 0, got nan"),
+            ("--r-factor=-1", "r must be finite and > 0, got -"),
+            ("--r-factor=inf", "r must be finite and > 0, got inf"),
+        ],
+    )
+    def test_bad_entropy_argument_is_one_error_line(
+        self, tmp_path, capsys, command, flag, message
+    ):
+        out_dir = tmp_path / "results"
+        if command == "evaluate":
+            source = ["--synth-kind", "spike-train", "--n", "256", "--out-dir", str(out_dir)]
+        else:
+            data = tmp_path / "data.csv"
+            write_series_csv(data, generate_synthetic("spike_train", 256, 7))
+            source = ["--input", str(data)]
+        assert main([command, *source, flag]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_config_value_checked_like_a_flag(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("1\n2\n3\n")

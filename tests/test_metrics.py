@@ -158,8 +158,9 @@ class TestApproxEntropy:
         series = TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0])
         with pytest.raises(ValueError):
             approx_entropy(series, m=0, r=0.5)
-        with pytest.raises(ValueError):
-            approx_entropy(series, m=2, r=0.0)
+        for r in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"r must be finite and > 0, got {r}"):
+                approx_entropy(series, m=2, r=r)
         with pytest.raises(ValueError):
             approx_entropy(TimeSeries([1.0, 2.0, 3.0]), m=2, r=0.5)
 

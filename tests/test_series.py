@@ -7,6 +7,7 @@ from hypothesis import given
 from oracles import classify_by_neighbours
 
 from toposmooth import ExtremumKind, TimeSeries, classify_extrema, validate
+from toposmooth.series import require_valid
 
 
 def kinds(records):
@@ -118,6 +119,14 @@ def test_validate_positions_not_increasing():
 def test_validate_non_finite():
     problems = validate(TimeSeries([1.0, np.nan, np.inf]))
     assert problems == ["non-finite value nan at index 1", "non-finite value inf at index 2"]
+
+
+def test_require_valid_names_the_first_five_problems():
+    with pytest.raises(ValueError) as info:
+        require_valid(TimeSeries(np.full(1000, np.nan)))
+    message = str(info.value)
+    assert message.startswith("invalid series: non-finite value nan at index 0; ")
+    assert message.endswith("non-finite value nan at index 4; and 995 more")
 
 
 def test_validate_position_count_mismatch():
