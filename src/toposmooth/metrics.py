@@ -21,6 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.spatial import cKDTree
 
 from .series import TimeSeries, sample_std
 
@@ -126,6 +127,12 @@ def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
     ``phi(m) - phi(m+1)``. ``r`` defaults to 0.2 times the sample standard
     deviation of the input; when sweeping smoothing levels it should be
     computed once from the original series and held fixed.
+
+    The match counts are exact integers from a kd-tree ball query in the
+    l-infinity metric (distance ``<= r``, each template matching itself),
+    not from comparing every pair of templates. The log-fractions are then
+    summed in the same fixed blocks as the dense pairwise definition, so
+    the result is bit-identical to it.
     """
     x = _values(series)
     bad = np.flatnonzero(~np.isfinite(x))
@@ -144,12 +151,19 @@ def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
     def phi(mm: int) -> float:
         templates = np.lib.stride_tricks.sliding_window_view(x, mm)
         count = len(templates)
+        # Each ball covers many leaves, so larger leaves (a plain scan in C)
+        # beat a deeper tree: 64 took about 40% less time than the default
+        # 16 on walks and smoothed series from n=1024 to n=16384 (2-CPU
+        # Xeon). The counts do not depend on it.
+        hits = cKDTree(templates, leafsize=64).query_ball_point(
+            templates, r, p=np.inf, return_length=True
+        )
         total = 0.0
+        # The block size of the dense pairwise kernel: summing per block in
+        # this order keeps every bit of its result.
         chunk = max(1, int(2**22 // (count * mm + 1)))
         for start in range(0, count, chunk):
-            block = templates[start : start + chunk]
-            dist = np.abs(block[:, None, :] - templates[None, :, :]).max(axis=2)
-            frac = np.count_nonzero(dist <= r, axis=1) / count
+            frac = hits[start : start + chunk] / count
             total += float(np.sum(np.log(frac)))
         return total / count
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,6 +81,41 @@ class ExtremumRecord:
     plateau_span: tuple[int, int]
 
 
+def _violations(series: TimeSeries) -> list[tuple[Sequence[int], Callable[[int], str]]]:
+    """Each kind of invariant violation as (its items, the message of one item).
+
+    Kinds come in report order and items in index order, so the violations
+    can be counted from the items and their messages formatted on demand.
+    """
+    values = series.values
+    n = len(values)
+    groups: list[tuple[Sequence[int], Callable[[int], str]]] = [
+        ([n] if n < 2 else [], lambda k: f"length {k} < 2"),
+        (
+            np.flatnonzero(~np.isfinite(values)),
+            lambda i: f"non-finite value {float(values[i])} at index {int(i)}",
+        ),
+    ]
+    if series.positions is not None:
+        pos = series.positions
+        groups.append(
+            (
+                [len(pos)] if len(pos) != n else [],
+                lambda k: f"positions count {k} != values count {n}",
+            )
+        )
+        bad_pos = np.flatnonzero(~np.isfinite(pos))
+        groups.append((bad_pos, lambda i: f"non-finite position at index {int(i)}"))
+        if len(pos) >= 2 and not len(bad_pos):
+            groups.append(
+                (
+                    np.flatnonzero(np.diff(pos) <= 0) + 1,
+                    lambda i: f"positions not strictly increasing at index {int(i)}",
+                )
+            )
+    return groups
+
+
 def validate(series: TimeSeries) -> list[str]:
     """Collect every invariant violation of a series.
 
@@ -86,36 +123,20 @@ def validate(series: TimeSeries) -> list[str]:
     not failures: callers that need a hard guarantee use
     :func:`require_valid`.
     """
-    problems: list[str] = []
-    values = series.values
-    n = len(values)
-    if n < 2:
-        problems.append(f"length {n} < 2")
-    bad = np.flatnonzero(~np.isfinite(values))
-    for i in bad:
-        problems.append(f"non-finite value {float(values[i])} at index {int(i)}")
-    if series.positions is not None:
-        pos = series.positions
-        if len(pos) != n:
-            problems.append(f"positions count {len(pos)} != values count {n}")
-        bad_pos = np.flatnonzero(~np.isfinite(pos))
-        for i in bad_pos:
-            problems.append(f"non-finite position at index {int(i)}")
-        if len(pos) >= 2 and np.all(np.isfinite(pos)):
-            nondec = np.flatnonzero(np.diff(pos) <= 0)
-            for i in nondec:
-                problems.append(
-                    f"positions not strictly increasing at index {int(i) + 1}"
-                )
-    return problems
+    return [message(i) for items, message in _violations(series) for i in items]
 
 
 def require_valid(series: TimeSeries) -> None:
-    """Raise ``ValueError`` naming the first violations if the series is invalid."""
-    problems = validate(series)
-    if problems:
-        more = f"; and {len(problems) - 5} more" if len(problems) > 5 else ""
-        raise ValueError("invalid series: " + "; ".join(problems[:5]) + more)
+    """Raise ``ValueError`` naming the first five violations if the series is invalid.
+
+    Only those five messages are formatted; the rest are counted.
+    """
+    groups = _violations(series)
+    total = sum(len(items) for items, _ in groups)
+    if total:
+        first = islice((message(i) for items, message in groups for i in items), 5)
+        more = f"; and {total - 5} more" if total > 5 else ""
+        raise ValueError("invalid series: " + "; ".join(first) + more)
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -323,3 +324,36 @@ class TestCli:
         assert (out_dir / "spike_train-n96-seed3_l1.svg").exists()
         # Canonical serialization survives a parse/re-serialize round trip.
         assert canonical_json(report) == report_path.read_text()
+
+
+# sha256 of the evaluate report JSON and sweep CSV at seed 7, n = 512,
+# recorded with the dense pairwise entropy kernel. (At n = 256 the noisy
+# sine's methods share no entropy range, and evaluate refuses it.)
+GOLDEN_N512_SEED7 = {
+    "spike-train": (
+        "e5897b4ae7bf11b4f98fe0d722841d524675b070d16b5250a6ddcb71c6b59a7f",
+        "03c482448f5adfc8c5f4392ddfcaa3578eaa659c1e5de999e0ab60157e28424b",
+    ),
+    "noisy-sine": (
+        "42347b9a9e256c4dd22f634bc59d69a1a259006dad1f8992bad62948c7fc8bf1",
+        "763b00acbfd53226cc05ac19ee3e016c5d02028f722c18242a9290d7e1cf6603",
+    ),
+    "random-walk": (
+        "f273dffb2172d6a624fb91533813af531214b2389d805e6a91d9f1dd24a8dc13",
+        "170b1b96ffb03e40e35fa24b7065d83fe2182cd5cfce2a52edf39a6ca38a022d",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_N512_SEED7))
+def test_evaluate_report_bytes_unchanged(tmp_path, kind):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["evaluate", "--synth-kind", kind, "--n", "512", "--seed", "7",
+                     "--out-dir", str(tmp_path)])
+    assert code == 0
+    stem = f"{kind.replace('-', '_')}-n512-seed7"
+    got = tuple(
+        hashlib.sha256((tmp_path / f"{stem}_{name}").read_bytes()).hexdigest()
+        for name in ("report.json", "sweep.csv")
+    )
+    assert got == GOLDEN_N512_SEED7[kind]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 from helpers import any_series, diagram_points, random_diagram, tie_rich_diagram_points
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import apen_direct, exhaustive_bottleneck, exhaustive_wasserstein1
+from oracles import apen_dense, apen_direct, exhaustive_bottleneck, exhaustive_wasserstein1
 
 import toposmooth
 from toposmooth import (
@@ -19,6 +19,31 @@ from toposmooth import (
 )
 
 oracle_diagrams = st.one_of(diagram_points, tie_rich_diagram_points)
+
+# (values, r) cases rich in template distances exactly equal to r: integer
+# values with an integer r, values on a 0.1 grid, runs of equal values and
+# all-constant series; plus generic float series.
+apen_cases = st.one_of(
+    st.tuples(
+        st.lists(st.integers(0, 5).map(float), min_size=2, max_size=40),
+        st.integers(1, 3).map(float),
+    ),
+    st.tuples(
+        st.lists(st.integers(-10, 10).map(lambda v: v / 10), min_size=2, max_size=40),
+        st.sampled_from([0.1, 0.2, 0.3]),
+    ),
+    st.tuples(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 8)), min_size=1, max_size=8).map(
+            lambda runs: [float(v) for v, k in runs for _ in range(k)]
+        ),
+        st.sampled_from([0.5, 1.0, 2.0]),
+    ),
+    st.tuples(
+        st.tuples(st.integers(2, 40), st.integers(-3, 3)).map(lambda c: [float(c[1])] * c[0]),
+        st.sampled_from([0.5, 1.0]),
+    ),
+    st.tuples(any_series, st.floats(0.01, 5.0, allow_nan=False)),
+)
 
 
 def test_public_names_resolve():
@@ -153,6 +178,24 @@ class TestApproxEntropy:
         values = rng.normal(0, 2, 64)
         expected = apen_direct(values, 2, 0.2 * float(np.std(values, ddof=1)))
         assert abs(approx_entropy(TimeSeries(values)) - expected) <= 1e-10
+
+    @given(apen_cases, st.integers(1, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_dense_pairwise_kernel_exactly(self, case, m):
+        values, r = case
+        assume(len(values) > m + 1)
+        assert approx_entropy(values, m=m, r=r) == apen_dense(values, m, r)
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_equals_dense_pairwise_kernel_over_several_blocks(self, decimals):
+        # At n = 2000 each phi sums its log-fractions in two or three blocks.
+        # On this walk, rounded or not, one sum over all rows would differ
+        # from the blockwise sum in the last bits.
+        values = np.cumsum(np.random.default_rng(1).normal(0.0, 1.0, 2000))
+        if decimals is not None:
+            values = np.round(values, decimals)
+        r = 0.2 * float(np.std(values, ddof=1))
+        assert approx_entropy(values, m=2, r=r) == apen_dense(values, 2, r)
 
     def test_rejects_bad_arguments(self):
         series = TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0])

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +128,25 @@ def test_require_valid_names_the_first_five_problems():
     message = str(info.value)
     assert message.startswith("invalid series: non-finite value nan at index 0; ")
     assert message.endswith("non-finite value nan at index 4; and 995 more")
+
+
+def test_require_valid_formats_only_five_of_many_problems():
+    values = np.zeros(10**6)
+    values[::2] = np.nan
+    series = TimeSeries(values)
+    problems = validate(series)
+    assert len(problems) == 500_000
+    expected = "invalid series: " + "; ".join(problems[:5]) + "; and 499995 more"
+    timings = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            require_valid(series)
+        timings.append(time.perf_counter() - start)
+        assert str(info.value) == expected
+    # Formatting all 500,000 messages takes about 0.5 s; the scan for
+    # non-finite values that must remain takes about 5 ms.
+    assert min(timings) < 0.1, timings
 
 
 def test_validate_position_count_mismatch():
