@@ -8,7 +8,7 @@ random walk and on the same walk heavily smoothed (``simplify`` with
 ``Fraction(0.95)``, which leaves long plateaus and many close templates),
 with r = 0.2 times the walk's sample standard deviation, held fixed as
 ``evaluate`` holds it. Then times one ``evaluate_series`` of the seed-7
-spike train at n=1024. Each time is the median of ``--repeats`` calls in
+spike train at n=1024. Each time is the median of ``REPEATS`` calls in
 one process with BLAS pinned to one thread.
 
 The package is imported from ``--src`` (default: ``src/`` of this
@@ -33,11 +33,12 @@ from time import perf_counter  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (1024, 4096, 16384)
+REPEATS = 3
 
 
-def median_time(call, repeats: int) -> tuple[float, object]:
+def median_time(call) -> tuple[float, object]:
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = perf_counter()
         result = call()
         times.append(perf_counter() - start)
@@ -54,7 +55,7 @@ def cpu_model() -> str:
     return platform.processor()
 
 
-def measure(repeats: int) -> dict:
+def measure() -> dict:
     import numpy as np
     import scipy
 
@@ -66,11 +67,11 @@ def measure(repeats: int) -> dict:
         walk = generate_synthetic("random_walk", n, 7)
         r = 0.2 * sample_std(walk.values)
         for name, series in (("random_walk", walk), ("smoothed_walk", simplify(walk, Fraction(0.95)))):
-            seconds, value = median_time(lambda: approx_entropy(series, m=2, r=r), repeats)
+            seconds, value = median_time(lambda: approx_entropy(series, m=2, r=r))
             stages[f"approx_entropy/{name}/n{n}"] = {"s": round(seconds, 4), "value": value.hex()}
             print(f"approx_entropy {name} n={n}: {seconds:.4f} s", file=sys.stderr)
     spikes = generate_synthetic("spike_train", 1024, 7)
-    seconds, _ = median_time(lambda: evaluate_series(spikes), repeats)
+    seconds, _ = median_time(lambda: evaluate_series(spikes))
     stages["evaluate_series/spike_train/n1024"] = {"s": round(seconds, 3)}
     print(f"evaluate_series spike_train n=1024: {seconds:.3f} s", file=sys.stderr)
     return {
@@ -80,7 +81,7 @@ def measure(repeats: int) -> dict:
             "scipy": scipy.__version__,
             "cpus": os.cpu_count(),
             "cpu_model": cpu_model(),
-            "repeats": repeats,
+            "repeats": REPEATS,
         },
         "stages": stages,
     }
@@ -91,12 +92,11 @@ def main() -> int:
     parser.add_argument("--side", choices=("before", "after"), required=True)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--label", type=str, default=None, help="what the --src tree is")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_apen.json")
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
 
-    record = measure(args.repeats)
+    record = measure()
     record["label"] = args.label
     bench = json.loads(args.output.read_text()) if args.output.exists() else {}
     bench[args.side] = record
