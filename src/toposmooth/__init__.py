@@ -37,13 +37,7 @@ from .metrics import (
     wasserstein1,
 )
 from .persistence import ExtremaPair, PersistenceDiagram, diagram_of
-from .series import (
-    ExtremumKind,
-    ExtremumRecord,
-    TimeSeries,
-    classify_extrema,
-    validate,
-)
+from .series import Extrema, TimeSeries, classify_extrema, validate
 from .simplify import Fraction, Threshold, isotonic_fit, select_pairs, simplify
 from .synth import generate_synthetic
 
@@ -53,9 +47,8 @@ __all__ = [
     "DEFAULT_METHODS",
     "EvaluationError",
     "EvaluationResult",
+    "Extrema",
     "ExtremaPair",
-    "ExtremumKind",
-    "ExtremumRecord",
     "FitLine",
     "Fraction",
     "MethodRank",

@@ -7,7 +7,6 @@ method's output can be compared pointwise against the input.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -86,6 +85,9 @@ def douglas_peucker_indices(series: TimeSeries, epsilon: float) -> list[int]:
     with the largest absolute vertical residual against the current
     piecewise-linear reconstruction (ties: smallest index) until that
     residual is <= ``epsilon``.
+
+    A residual depends only on the kept points on either side, so each
+    segment is split at its own worst sample instead; the kept set is the same.
     """
     require_valid(series)
     if not math.isfinite(epsilon):
@@ -96,15 +98,19 @@ def douglas_peucker_indices(series: TimeSeries, epsilon: float) -> list[int]:
     xs = series.xs
     n = len(values)
     kept = [0, n - 1]
-    while len(kept) < n:
-        recon = np.interp(xs, xs[kept], values[kept])
-        residual = np.abs(values - recon)
-        residual[kept] = 0.0
+    stack = [(0, n - 1)]
+    while stack:
+        left, right = stack.pop()
+        if right - left < 2:
+            continue
+        inner, ends = slice(left + 1, right), [left, right]
+        residual = np.abs(values[inner] - np.interp(xs[inner], xs[ends], values[ends]))
         worst = int(np.argmax(residual))
-        if residual[worst] <= epsilon:
-            break
-        bisect.insort(kept, worst)
-    return kept
+        if residual[worst] > epsilon:
+            worst += left + 1
+            kept.append(worst)
+            stack += [(left, worst), (worst, right)]
+    return sorted(kept)
 
 
 def douglas_peucker(series: TimeSeries, epsilon: float) -> TimeSeries:

@@ -16,12 +16,12 @@ O(m log m) to sort and merge m extrema.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .series import ExtremumKind, ExtremumRecord, TimeSeries, classify_extrema
+from .series import TimeSeries, classify_extrema
 
 
 @dataclass(frozen=True)
@@ -38,26 +38,40 @@ class ExtremaPair:
         return self.death_value - self.birth_value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PersistenceDiagram:
     """All finite pairs of a series plus the essential (never-dying) record.
 
-    ``pairs`` is sorted by ascending persistence, ties by ascending
-    birth index. ``essential_min_index`` is the index of the global
-    minimum, whose component survives the whole sweep.
+    The pairs are four parallel columns sorted by ascending persistence,
+    ties by ascending birth index. ``essential_min_index`` is the index of
+    the global minimum, whose component survives the whole sweep.
     """
 
-    pairs: tuple[ExtremaPair, ...]
+    birth_index: np.ndarray
+    death_index: np.ndarray
+    birth_value: np.ndarray
+    death_value: np.ndarray
     essential_min_index: int
 
-    def finite_points(self) -> tuple[tuple[float, float], ...]:
-        """(birth_value, death_value) coordinates of the finite pairs."""
-        return tuple((p.birth_value, p.death_value) for p in self.pairs)
+    def __len__(self) -> int:
+        return len(self.birth_index)
+
+    @property
+    def persistence(self) -> np.ndarray:
+        return self.death_value - self.birth_value
+
+    @cached_property
+    def pairs(self) -> tuple[ExtremaPair, ...]:
+        """The pairs as objects holding Python ints and floats, built once on demand."""
+        columns = (self.birth_index, self.death_index, self.birth_value, self.death_value)
+        return tuple(map(ExtremaPair, *(c.tolist() for c in columns)))
+
+    def finite_points(self) -> np.ndarray:
+        """(birth_value, death_value) coordinates of the finite pairs, shape (m, 2)."""
+        return np.column_stack((self.birth_value, self.death_value))
 
 
-def _sweep(
-    values: np.ndarray, extrema: list[ExtremumRecord]
-) -> Iterator[tuple[int, int]]:
+def _sweep(value: np.ndarray, is_min: np.ndarray) -> tuple[list[int], list[int]]:
     """Pairs-only sweep over the extremum slots.
 
     Kinds alternate, so each component of the sublevel set spans an
@@ -69,27 +83,25 @@ def _sweep(
     minimum at both of its ends. Slots increase with sample index, so
     (value, slot) orders like (value, index).
 
-    Yields the merges in sweep order, each as (maximum slot, dying slot).
+    Returns the merges in sweep order as (maximum slots, dying slots).
     """
-    k = len(extrema)
-    value = values[[rec.index for rec in extrema]].tolist()
-    other_end = list(range(k))
+    interior = np.flatnonzero(~is_min[1:-1]) + 1
+    # A stable sort by value keeps equal maxima in slot order.
+    maxima = interior[np.argsort(value[interior], kind="stable")].tolist()
+    value = value.tolist()
+    other_end = list(range(len(value)))
     lowest = other_end.copy()
-    maxima = sorted(
-        (j for j in range(1, k - 1) if extrema[j].kind is ExtremumKind.LOCAL_MAX),
-        key=lambda j: (value[j], j),
-    )
+    dying = []
     for j in maxima:
         a, b = other_end[j - 1], other_end[j + 1]
         left, right = lowest[j - 1], lowest[j + 1]
-        # Larger (value, index) key dies: elder component survives.
-        if (value[left], left) > (value[right], right):
-            dying, living = left, right
-        else:
-            dying, living = right, left
+        # Larger (value, slot) key dies: the elder component survives. The
+        # left minimum has the smaller slot, so it dies only when higher.
+        living, dead = (right, left) if value[left] > value[right] else (left, right)
+        dying.append(dead)
         other_end[a], other_end[b] = b, a
         lowest[a] = lowest[b] = living
-        yield j, dying
+    return maxima, dying
 
 
 def diagram_of(values) -> PersistenceDiagram:
@@ -104,10 +116,12 @@ def diagram_of(values) -> PersistenceDiagram:
         series = TimeSeries(np.asarray(values, dtype=np.float64))
     extrema = classify_extrema(series)  # validates
     values = series.values
-    pairs = []
-    for j, dying in _sweep(values, extrema):
-        birth, death = extrema[dying].index, extrema[j].index
-        pairs.append(ExtremaPair(birth, death, float(values[birth]), float(values[death])))
-    pairs.sort(key=lambda p: (p.persistence, p.birth_index))
+    maxima, dying = _sweep(values[extrema.index], extrema.is_min)
+    birth = extrema.index[np.array(dying, dtype=np.intp)]
+    death = extrema.index[np.array(maxima, dtype=np.intp)]
+    birth_value, death_value = values[birth], values[death]
+    order = np.lexsort((birth, death_value - birth_value))
     # The first global minimum starts its run, so it is the collapsed index.
-    return PersistenceDiagram(tuple(pairs), int(np.argmin(values)))
+    return PersistenceDiagram(
+        birth[order], death[order], birth_value[order], death_value[order], int(np.argmin(values))
+    )

@@ -9,17 +9,11 @@ run, which keeps the downstream pairing deterministic.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
-
-
-class ExtremumKind(enum.Enum):
-    LOCAL_MIN = "min"
-    LOCAL_MAX = "max"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -67,18 +61,23 @@ class TimeSeries:
         return TimeSeries(values, self.positions, self.label)
 
 
-@dataclass(frozen=True)
-class ExtremumRecord:
-    """One local extremum, possibly representing a run of equal values.
+@dataclass(frozen=True, eq=False)
+class Extrema:
+    """The local extrema of a series as columns, in increasing index order.
 
-    ``index`` is the leftmost index of the run; ``plateau_span`` is the
-    inclusive index range of equal values the extremum stands for.
+    Each extremum may stand for a run of equal values. ``index`` is the
+    leftmost index of its run, ``is_min`` tells a minimum from a maximum,
+    ``is_boundary`` marks the runs touching the first or last sample, and
+    row i of the (k, 2) ``span`` is the inclusive index range of the run.
     """
 
-    index: int
-    kind: ExtremumKind
-    is_boundary: bool
-    plateau_span: tuple[int, int]
+    index: np.ndarray
+    is_min: np.ndarray
+    is_boundary: np.ndarray
+    span: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 def _violations(series: TimeSeries) -> list[tuple[Sequence[int], Callable[[int], str]]]:
@@ -147,37 +146,33 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def classify_extrema(series: TimeSeries) -> list[ExtremumRecord]:
+def classify_extrema(series: TimeSeries) -> Extrema:
     """All local extrema of a series, in increasing index order.
 
-    Plateaus are collapsed to a single record anchored at the leftmost
+    Plateaus are collapsed to a single extremum anchored at the leftmost
     index of the run. The first sample is a local minimum iff its value is
     <= the next distinct value (mirrored at the last sample), so the first
-    and last records are always boundary extrema and kinds strictly
+    and last extrema are always boundary extrema and kinds strictly
     alternate. A constant series yields one boundary minimum spanning the
     whole series.
     """
     require_valid(series)
     values = series.values
     starts, ends = _runs(values)
-    last = len(values) - 1
     if len(starts) == 1:
-        return [ExtremumRecord(0, ExtremumKind.LOCAL_MIN, True, (0, last))]
-
-    # A run is an extremum where the direction changes across it; each
-    # boundary run counts as a change. It is a minimum iff the series rises
-    # after it.
-    rising = np.diff(values[starts]) > 0  # run j -> j+1 strictly rises or falls
-    before = np.concatenate(([not rising[0]], rising))
-    after = np.concatenate((rising, [not rising[-1]]))
-    runs = np.flatnonzero(before != after)
-    kind = {True: ExtremumKind.LOCAL_MIN, False: ExtremumKind.LOCAL_MAX}
-    return [
-        ExtremumRecord(lo, kind[is_min], lo == 0 or hi == last, (lo, hi))
-        for lo, hi, is_min in zip(
-            starts[runs].tolist(), ends[runs].tolist(), after[runs].tolist()
-        )
-    ]
+        is_min = np.array([True])
+    else:
+        # A run is an extremum where the direction changes across it; each
+        # boundary run counts as a change. It is a minimum iff the series
+        # rises after it.
+        rising = np.diff(values[starts]) > 0  # run j -> j+1 strictly rises or falls
+        before = np.concatenate(([not rising[0]], rising))
+        after = np.concatenate((rising, [not rising[-1]]))
+        runs = np.flatnonzero(before != after)
+        starts, ends, is_min = starts[runs], ends[runs], after[runs]
+    return Extrema(
+        starts, is_min, (starts == 0) | (ends == len(values) - 1), np.column_stack((starts, ends))
+    )
 
 
 def sample_std(values: np.ndarray) -> float:

@@ -12,9 +12,9 @@ identity.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -47,13 +47,25 @@ class Fraction:
 SimplifyPolicy = Threshold | Fraction
 
 
-def _removal_rank(pair: ExtremaPair) -> tuple[float, int, int]:
-    # Equal-persistence pairs can nest; the narrower (inner) interval must
-    # be removed first or flattening the outer one would destroy a
-    # retained pair. Nesting implies p_inner <= p_outer, so ordering ties
-    # by interval width keeps every rank prefix structurally removable.
-    width = abs(pair.death_index - pair.birth_index)
-    return (pair.persistence, width, pair.birth_index)
+def _retained(diagram: PersistenceDiagram, policy: SimplifyPolicy) -> np.ndarray:
+    """Boolean mask over the diagram's pairs: True where the policy keeps the pair."""
+    persistence = diagram.persistence
+    keep = np.ones(len(diagram), dtype=bool)
+    if isinstance(policy, Threshold):
+        # The pairs are sorted by persistence, so the removed ones are a prefix.
+        keep[: np.searchsorted(persistence, policy.value, "left")] = False
+    elif isinstance(policy, Fraction):
+        # Equal-persistence pairs can nest; the narrower (inner) interval
+        # must be removed first or flattening the outer one would destroy a
+        # retained pair. Nesting implies p_inner <= p_outer, so ordering
+        # ties by interval width keeps every rank prefix structurally
+        # removable.
+        width = np.abs(diagram.death_index - diagram.birth_index)
+        ranked = np.lexsort((diagram.birth_index, width, persistence))
+        keep[ranked[: math.floor(policy.value * len(diagram))]] = False
+    else:
+        raise TypeError(f"unknown policy {policy!r}")
+    return keep
 
 
 def select_pairs(
@@ -64,19 +76,9 @@ def select_pairs(
     Both halves keep the diagram's order: ascending persistence, ties by
     ascending birth index.
     """
+    keep = _retained(diagram, policy)
     pairs = diagram.pairs
-    if isinstance(policy, Threshold):
-        # The pairs are sorted by persistence, so the removed ones are a prefix.
-        cut = bisect.bisect_left(pairs, policy.value, key=lambda p: p.persistence)
-        return pairs[cut:], pairs[:cut]
-    if isinstance(policy, Fraction):
-        ranked = sorted(range(len(pairs)), key=lambda i: _removal_rank(pairs[i]))
-        drop = set(ranked[: math.floor(policy.value * len(pairs))])
-        return (
-            tuple(p for i, p in enumerate(pairs) if i not in drop),
-            tuple(p for i, p in enumerate(pairs) if i in drop),
-        )
-    raise TypeError(f"unknown policy {policy!r}")
+    return tuple(compress(pairs, keep.tolist())), tuple(compress(pairs, (~keep).tolist()))
 
 
 def isotonic_fit(values) -> np.ndarray:
@@ -87,8 +89,8 @@ def isotonic_fit(values) -> np.ndarray:
     # Stack of blocks (mean, weight); merge while the tail violates order.
     means: list[float] = []
     weights: list[int] = []
-    for v in x:
-        m, w = float(v), 1
+    for m in x.tolist():
+        w = 1
         while means and means[-1] > m:
             pm, pw = means.pop(), weights.pop()
             m = (m * w + pm * pw) / (w + pw)
@@ -106,24 +108,29 @@ def simplify(series: TimeSeries, policy: SimplifyPolicy) -> TimeSeries:
     set by the anchor values).
     """
     diagram = diagram_of(series)  # validates
-    retained, _ = select_pairs(diagram, policy)
-    anchors = sorted(
-        {0, len(series) - 1, diagram.essential_min_index}
-        | {i for p in retained for i in (p.birth_index, p.death_index)}
-    )
-
+    keep = _retained(diagram, policy)
     values = series.values
+    ends = [0, len(values) - 1, diagram.essential_min_index]
+    retained = (diagram.birth_index[keep], diagram.death_index[keep])
+    anchors = np.unique(np.concatenate((ends, *retained)))
+    # A segment already monotone toward its end anchor is its own fit: PAV
+    # pools nothing, and the clip and the pinned ends change nothing. Count
+    # the steps against each segment's direction to find the others.
+    falls = np.concatenate(([0], np.cumsum(values[1:] < values[:-1])))
+    rises = np.concatenate(([0], np.cumsum(values[1:] > values[:-1])))
+    left, right = anchors[:-1], anchors[1:]
+    against = np.where(
+        values[left] <= values[right], falls[right] - falls[left], rises[right] - rises[left]
+    )
     out = np.array(values, dtype=np.float64)
-    for left, right in zip(anchors, anchors[1:]):
-        if right - left < 2:
-            continue
-        seg = values[left : right + 1]
-        lo, hi = float(values[left]), float(values[right])
+    for a, b in zip(left[against > 0].tolist(), right[against > 0].tolist()):
+        seg = values[a : b + 1]
+        lo, hi = float(values[a]), float(values[b])
         # A falling segment is the negated non-decreasing fit of its negation;
         # negation is exact.
         sign = 1.0 if lo <= hi else -1.0
         fitted = sign * isotonic_fit(sign * seg)
         np.clip(fitted, min(lo, hi), max(lo, hi), out=fitted)
         fitted[0], fitted[-1] = lo, hi
-        out[left : right + 1] = fitted
+        out[a : b + 1] = fitted
     return series.with_values(out)

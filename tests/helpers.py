@@ -20,6 +20,14 @@ float_series = st.lists(
     max_size=32,
 )
 any_series = st.one_of(int_series, float_series)
+# Runs of repeated small integers: long plateaus and many equal extrema.
+plateau_series = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(1, 5)), min_size=2, max_size=12
+).map(lambda runs: [float(v) for v, k in runs for _ in range(k)])
+# Unrounded floats: the generic case, with no ties.
+normal_series = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), min_size=2, max_size=64
+)
 
 diagram_points = st.lists(
     st.tuples(

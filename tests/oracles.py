@@ -7,6 +7,7 @@ code path with the implementation it checks.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from itertools import combinations, permutations
@@ -282,4 +283,80 @@ def interp_direct(xs, knot_xs, knot_ys):
         lo = hi - 1
         t = (x - knot_xs[lo]) / (knot_xs[hi] - knot_xs[lo])
         out.append(knot_ys[lo] * (1 - t) + knot_ys[hi] * t)
+    return out
+
+
+def douglas_peucker_greedy(values, xs, epsilon: float) -> list[int]:
+    """Douglas-Peucker by global greedy insertion.
+
+    Starting from the two boundary samples, re-interpolates through every
+    kept sample and inserts the sample with the largest absolute residual
+    (ties: smallest index) until that residual is <= ``epsilon``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    xs = np.asarray(xs, dtype=np.float64)
+    n = len(values)
+    kept = [0, n - 1]
+    while len(kept) < n:
+        recon = np.interp(xs, xs[kept], values[kept])
+        residual = np.abs(values - recon)
+        residual[kept] = 0.0
+        worst = int(np.argmax(residual))
+        if residual[worst] <= epsilon:
+            break
+        bisect.insort(kept, worst)
+    return kept
+
+
+def _pav(values):
+    """Pool-adjacent-violators over numpy scalars, one sample at a time."""
+    means: list[float] = []
+    weights: list[int] = []
+    for v in values:
+        m, w = float(v), 1
+        while means and means[-1] > m:
+            pm, pw = means.pop(), weights.pop()
+            m = (m * w + pm * pw) / (w + pw)
+            w += pw
+        means.append(m)
+        weights.append(w)
+    return np.repeat(means, weights)
+
+
+def simplify_all_segments(values, pairs, essential_min_index: int, policy) -> np.ndarray:
+    """Topological simplification refitting every segment between anchors.
+
+    ``pairs`` are a diagram's pairs (objects with ``birth_index``,
+    ``death_index`` and ``persistence``) in diagram order and ``policy`` is
+    a ``Threshold`` or a ``Fraction``. A threshold removes every pair
+    below it; a fraction removes the floor(q * m) first pairs in
+    (persistence, interval width, birth index) order. Every segment with
+    an interior sample gets the monotone PAV fit toward its end anchor,
+    clipped to the anchor values with the anchor values restored.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if type(policy).__name__ == "Threshold":
+        retained = [p for p in pairs if not p.persistence < policy.value]
+    else:
+        ranked = sorted(
+            pairs,
+            key=lambda p: (p.persistence, abs(p.death_index - p.birth_index), p.birth_index),
+        )
+        removed = ranked[: math.floor(policy.value * len(pairs))]
+        retained = [p for p in pairs if p not in removed]
+    anchors = sorted(
+        {0, len(values) - 1, essential_min_index}
+        | {i for p in retained for i in (p.birth_index, p.death_index)}
+    )
+    out = values.copy()
+    for left, right in zip(anchors, anchors[1:]):
+        if right - left < 2:
+            continue
+        seg = values[left : right + 1]
+        lo, hi = float(values[left]), float(values[right])
+        sign = 1.0 if lo <= hi else -1.0
+        fitted = sign * _pav(sign * seg)
+        np.clip(fitted, min(lo, hi), max(lo, hi), out=fitted)
+        fitted[0], fitted[-1] = lo, hi
+        out[left : right + 1] = fitted
     return out

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from helpers import any_series, float_series
+from helpers import any_series, float_series, int_series, normal_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cutoff_direct, gaussian_direct, interp_direct, median_direct
+from oracles import (
+    cutoff_direct,
+    douglas_peucker_greedy,
+    gaussian_direct,
+    interp_direct,
+    median_direct,
+)
 
 from toposmooth import (
     TimeSeries,
@@ -157,6 +163,31 @@ class TestDouglasPeucker:
     def test_residual_bounded_by_epsilon(self, values, epsilon):
         out = douglas_peucker(TimeSeries(values), epsilon)
         assert np.max(np.abs(out.values - np.asarray(values))) <= epsilon + 1e-12
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(int_series, float_series, normal_series).flatmap(
+            lambda values: st.tuples(
+                st.just(values),
+                st.none()
+                | st.lists(st.integers(1, 3), min_size=len(values), max_size=len(values))
+                | st.lists(
+                    st.floats(0.01, 10.0, allow_nan=False),
+                    min_size=len(values),
+                    max_size=len(values),
+                ),
+            )
+        ),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 5.0, allow_nan=False),
+    )
+    def test_segment_splits_equal_global_greedy(self, data, epsilon):
+        # Integer values and steps make equal residuals in and across segments.
+        values, steps = data
+        positions = None if steps is None else np.cumsum(steps, dtype=np.float64)
+        series = TimeSeries(values, positions=positions)
+        assert douglas_peucker_indices(series, epsilon) == douglas_peucker_greedy(
+            values, series.xs, epsilon
+        )
 
     def test_kept_points_nest_as_epsilon_decreases(self):
         rng = np.random.default_rng(5)

@@ -80,6 +80,18 @@ class TestNorms:
         assert norm_linf(a, b) <= norm_l1(a, b) + 1e-12
 
 
+def nearest_cost_bound(c1, c2) -> float:
+    """The largest min(half-persistence, nearest cross cost) over all points."""
+
+    def nearest(a, b):
+        return [
+            min([(d - bd) / 2.0] + [max(abs(bd - b2), abs(d - d2)) for b2, d2 in b])
+            for bd, d in a
+        ]
+
+    return max(nearest(c1, c2) + nearest(c2, c1), default=0.0)
+
+
 class TestDiagramDistances:
     def test_equal_diagrams_zero(self):
         c = [(0.0, 1.0), (2.0, 5.0)]
@@ -133,6 +145,36 @@ class TestDiagramDistances:
     def test_triangle_inequality(self, c1, c2, c3):
         assert wasserstein1(c1, c3) <= wasserstein1(c1, c2) + wasserstein1(c2, c3) + 1e-9
         assert bottleneck(c1, c3) <= bottleneck(c1, c2) + bottleneck(c2, c3) + 1e-9
+
+    @pytest.mark.parametrize(
+        "c1, c2",
+        [
+            ([(0.0, 4.0), (0.0, 4.0)], [(0.0, 4.0)]),
+            ([(0.0, 4.0), (2.0, 6.0)], [(1.0, 5.0)]),
+            ([(0.0, 6.0), (0.0, 6.0), (0.0, 6.0)], [(1.0, 7.0), (1.0, 7.0)]),
+            ([(0.0, 3.0), (1.0, 4.0), (-1.0, 2.0)], [(0.0, 3.0), (0.0, 3.0)]),
+        ],
+    )
+    def test_search_above_an_infeasible_lower_bound(self, c1, c2):
+        # Each point has a partner within the bound, but more points compete
+        # for those partners than there are, so the bound is infeasible and
+        # the answer comes from the search above it.
+        assert nearest_cost_bound(c1, c2) < exhaustive_bottleneck(c1, c2)
+        assert bottleneck(c1, c2) == exhaustive_bottleneck(c1, c2)
+        assert bottleneck(c2, c1) == exhaustive_bottleneck(c1, c2)
+
+    def test_tie_rich_diagrams_take_both_paths(self):
+        rng = np.random.default_rng(23)
+        searched = 0
+        for _ in range(300):
+            c1, c2 = (
+                [(float(b), float(b + p)) for b, p in rng.integers((-2, 1), (3, 4), (k, 2))]
+                for k in rng.integers(0, 5, 2)
+            )
+            expected = exhaustive_bottleneck(c1, c2)
+            assert bottleneck(c1, c2) == expected
+            searched += nearest_cost_bound(c1, c2) < expected
+        assert 0 < searched < 300
 
     def test_larger_random_diagrams_against_oracle(self):
         rng = np.random.default_rng(17)

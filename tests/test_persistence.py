@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from oracles import sublevel_pairs
 
 from toposmooth import TimeSeries, classify_extrema, diagram_of
-from toposmooth.series import ExtremumKind
 
 
 def pair_tuples(diagram):
@@ -93,10 +92,25 @@ def test_matches_sublevel_tracker_oracle(values):
 @given(any_series)
 def test_pair_count_is_minima_minus_one(values):
     d = diagram_of(values)
-    minima = [
-        r for r in classify_extrema(TimeSeries(values)) if r.kind is ExtremumKind.LOCAL_MIN
+    minima = int(np.count_nonzero(classify_extrema(TimeSeries(values)).is_min))
+    assert len(d.pairs) == minima - 1
+
+
+@given(any_series)
+def test_pairs_are_the_columns_as_python_numbers(values):
+    d = diagram_of(values)
+    columns = (d.birth_index, d.death_index, d.birth_value, d.death_value)
+    assert len(d) == len(d.pairs) and all(len(c) == len(d) for c in columns)
+    assert [tuple(c[i] for c in columns) for i in range(len(d))] == [
+        (p.birth_index, p.death_index, p.birth_value, p.death_value) for p in d.pairs
     ]
-    assert len(d.pairs) == len(minima) - 1
+    for p in d.pairs:
+        assert type(p.birth_index) is int and type(p.death_index) is int
+        assert type(p.birth_value) is float and type(p.death_value) is float
+    assert d.pairs is d.pairs
+    points = d.finite_points()
+    assert points.shape == (len(d), 2)
+    assert points.tolist() == [[p.birth_value, p.death_value] for p in d.pairs]
 
 
 @given(any_series)

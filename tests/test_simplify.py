@@ -1,12 +1,13 @@
+import importlib
+
 import numpy as np
 import pytest
-from helpers import any_series, random_values
+from helpers import any_series, int_series, normal_series, plateau_series, random_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import isotonic_best
+from oracles import isotonic_best, simplify_all_segments
 
 from toposmooth import (
-    ExtremaPair,
     Fraction,
     PersistenceDiagram,
     Threshold,
@@ -16,14 +17,21 @@ from toposmooth import (
     select_pairs,
     simplify,
 )
+from toposmooth import persistence as persistence_module
+
+# The package's ``simplify`` attribute is the function, not the module.
+simplify_module = importlib.import_module("toposmooth.simplify")
 
 
 def make_diagram(persistences):
-    pairs = tuple(
-        ExtremaPair(birth_index=2 * i + 1, death_index=2 * i + 2, birth_value=0.0, death_value=p)
-        for i, p in enumerate(persistences)
+    k = len(persistences)
+    return PersistenceDiagram(
+        birth_index=np.arange(1, 2 * k, 2),
+        death_index=np.arange(2, 2 * k + 1, 2),
+        birth_value=np.zeros(k),
+        death_value=np.asarray(persistences, dtype=np.float64),
+        essential_min_index=0,
     )
-    return PersistenceDiagram(pairs=pairs, essential_min_index=0)
 
 
 class TestSelectPairs:
@@ -197,3 +205,41 @@ def test_output_structure_random(seed):
         got = sorted((p.birth_value, p.death_value) for p in diagram_of(out).pairs)
         expected = sorted((p.birth_value, p.death_value) for p in retained)
         assert got == expected
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(int_series, plateau_series, normal_series),
+    st.booleans(),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+def test_equals_all_segments_reference_bytes(values, by_threshold, q):
+    # The fast path skips segments that are already monotone toward their
+    # end anchor; the reference refits every segment.
+    series = TimeSeries(values)
+    d = diagram_of(series)
+    top = float(np.max(d.persistence, initial=0.0))
+    policy = Threshold(q * 1.1 * top) if by_threshold else Fraction(q)
+    expected = simplify_all_segments(values, d.pairs, d.essential_min_index, policy)
+    assert simplify(series, policy).values.tobytes() == expected.tobytes()
+
+
+def test_simplify_reaches_classification_through_module_globals(monkeypatch):
+    # The benchmark's tracer wraps these module globals to see the layers.
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(simplify_module, "diagram_of")
+    counted(persistence_module, "classify_extrema")
+    series = TimeSeries([1, 5, 2, 4, 0, 3])
+    simplify(series, Fraction(0.5))
+    simplify(series, Threshold(2.5))
+    assert calls == ["diagram_of", "classify_extrema"] * 2
