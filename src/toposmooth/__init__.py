@@ -37,7 +37,7 @@ from .metrics import (
     wasserstein1,
 )
 from .persistence import ExtremaPair, PersistenceDiagram, diagram_of
-from .series import Extrema, TimeSeries, classify_extrema, validate
+from .series import Extrema, TimeSeries, classify_extrema
 from .simplify import Fraction, Threshold, isotonic_fit, select_pairs, simplify
 from .synth import generate_synthetic
 
@@ -79,7 +79,6 @@ __all__ = [
     "simplify",
     "sweep",
     "uniform_subsample",
-    "validate",
     "wasserstein1",
     "write_pairs_csv",
     "write_report_json",

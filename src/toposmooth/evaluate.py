@@ -28,7 +28,7 @@ from .filters import (
 )
 from .metrics import approx_entropy, bottleneck, norm_l1, norm_linf, wasserstein1
 from .persistence import diagram_of
-from .series import TimeSeries, require_valid, sample_std
+from .series import TimeSeries, sample_std
 from .simplify import Fraction, Threshold, simplify
 
 METRIC_NAMES = ("l1", "linf", "w1", "bottleneck")
@@ -180,7 +180,6 @@ def sweep(
     series for the whole sweep so entropy values are comparable across
     methods.
     """
-    require_valid(series)
     if not grid:
         raise ValueError("parameter grid must be non-empty")
     if method not in METHODS:
@@ -307,7 +306,6 @@ def evaluate_series(
 
     Sweeps every method of ``DEFAULT_METHODS`` over its default grid.
     """
-    require_valid(series)
     std = sample_std(series.values)
     if std == 0:
         raise EvaluationError("series is constant; entropy calibration undefined")

@@ -11,19 +11,23 @@ import math
 
 import numpy as np
 
-from .series import TimeSeries, require_valid
+from .series import TimeSeries
 
 
 def median_filter(series: TimeSeries, window: int) -> TimeSeries:
-    """Sliding median with replicate padding; ``window`` must be odd >= 1."""
-    require_valid(series)
+    """Sliding median with replicate padding; ``window`` must be odd >= 1.
+
+    A window wider than 2n - 1 gives the same output as 2n - 1: every such
+    window holds the whole series, so its median lies between the first and
+    last values, and widening it adds one copy of each, keeping that median.
+    """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be an odd integer >= 1, got {window}")
     if window == 1:
         return series.with_values(series.values)
-    radius = window // 2
+    radius = min(window // 2, len(series) - 1)
     padded = np.pad(series.values, radius, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, window)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * radius + 1)
     return series.with_values(np.median(windows, axis=1))
 
 
@@ -35,7 +39,6 @@ def gaussian_filter(series: TimeSeries, sigma: float) -> TimeSeries:
     ``sigma`` = 0 returns the input, as does a sigma whose square underflows
     to 0.
     """
-    require_valid(series)
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
@@ -54,9 +57,11 @@ def gaussian_filter(series: TimeSeries, sigma: float) -> TimeSeries:
     return series.with_values(windows @ weights)
 
 
+# Values near the float limit overflow to a non-finite output, which the
+# returned series refuses with one error; numpy need not warn first.
+@np.errstate(over="ignore", invalid="ignore")
 def cutoff_filter(series: TimeSeries, keep_frequencies: int) -> TimeSeries:
     """Low-pass DFT filter: keep DC and bins 1..keep, zero the rest."""
-    require_valid(series)
     if keep_frequencies < 0:
         raise ValueError(f"keep_frequencies must be >= 0, got {keep_frequencies}")
     n = len(series)
@@ -67,7 +72,6 @@ def cutoff_filter(series: TimeSeries, keep_frequencies: int) -> TimeSeries:
 
 def uniform_subsample(series: TimeSeries, stride: int) -> TimeSeries:
     """Keep every ``stride``-th sample (and the last), interpolate between."""
-    require_valid(series)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     n = len(series)
@@ -78,6 +82,9 @@ def uniform_subsample(series: TimeSeries, stride: int) -> TimeSeries:
     return series.with_values(np.interp(xs, xs[kept], series.values[kept]))
 
 
+# Near the float limit a residual can overflow to inf, which is above any
+# epsilon and correctly keeps its sample; numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def douglas_peucker_indices(series: TimeSeries, epsilon: float) -> list[int]:
     """Sample indices kept by greedy polyline simplification.
 
@@ -89,7 +96,6 @@ def douglas_peucker_indices(series: TimeSeries, epsilon: float) -> list[int]:
     A residual depends only on the kept points on either side, so each
     segment is split at its own worst sample instead; the kept set is the same.
     """
-    require_valid(series)
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:

@@ -114,7 +114,7 @@ def diagram_of(values) -> PersistenceDiagram:
         series = values
     else:
         series = TimeSeries(np.asarray(values, dtype=np.float64))
-    extrema = classify_extrema(series)  # validates
+    extrema = classify_extrema(series)
     values = series.values
     maxima, dying = _sweep(values[extrema.index], extrema.is_min)
     birth = extrema.index[np.array(dying, dtype=np.intp)]

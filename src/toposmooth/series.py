@@ -26,6 +26,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class TimeSeries:
     """A finite ordered sequence of real sample values.
 
+    Every instance is valid: the constructor raises ``ValueError`` unless
+    there are at least two values, all finite, and any positions are finite,
+    one per value and strictly increasing.
+
     Attributes
     ----------
     values : np.ndarray
@@ -45,6 +49,7 @@ class TimeSeries:
         object.__setattr__(self, "values", _readonly(np.atleast_1d(self.values)))
         if self.positions is not None:
             object.__setattr__(self, "positions", _readonly(np.atleast_1d(self.positions)))
+        require_valid(self)
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -66,15 +71,11 @@ class Extrema:
     """The local extrema of a series as columns, in increasing index order.
 
     Each extremum may stand for a run of equal values. ``index`` is the
-    leftmost index of its run, ``is_min`` tells a minimum from a maximum,
-    ``is_boundary`` marks the runs touching the first or last sample, and
-    row i of the (k, 2) ``span`` is the inclusive index range of the run.
+    leftmost index of its run and ``is_min`` tells a minimum from a maximum.
     """
 
     index: np.ndarray
     is_min: np.ndarray
-    is_boundary: np.ndarray
-    span: np.ndarray
 
     def __len__(self) -> int:
         return len(self.index)
@@ -115,16 +116,6 @@ def _violations(series: TimeSeries) -> list[tuple[Sequence[int], Callable[[int],
     return groups
 
 
-def validate(series: TimeSeries) -> list[str]:
-    """Collect every invariant violation of a series.
-
-    Returns an empty list when the series is valid. Violations are data,
-    not failures: callers that need a hard guarantee use
-    :func:`require_valid`.
-    """
-    return [message(i) for items, message in _violations(series) for i in items]
-
-
 def require_valid(series: TimeSeries) -> None:
     """Raise ``ValueError`` naming the first five violations if the series is invalid.
 
@@ -138,12 +129,9 @@ def require_valid(series: TimeSeries) -> None:
         raise ValueError("invalid series: " + "; ".join(first) + more)
 
 
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end indices (inclusive) of maximal runs of equal values."""
-    change = np.flatnonzero(np.diff(values) != 0) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change - 1, [len(values) - 1]))
-    return starts, ends
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Start indices of the maximal runs of equal values."""
+    return np.concatenate(([0], np.flatnonzero(np.diff(values) != 0) + 1))
 
 
 def classify_extrema(series: TimeSeries) -> Extrema:
@@ -156,9 +144,8 @@ def classify_extrema(series: TimeSeries) -> Extrema:
     alternate. A constant series yields one boundary minimum spanning the
     whole series.
     """
-    require_valid(series)
     values = series.values
-    starts, ends = _runs(values)
+    starts = _run_starts(values)
     if len(starts) == 1:
         is_min = np.array([True])
     else:
@@ -169,10 +156,8 @@ def classify_extrema(series: TimeSeries) -> Extrema:
         before = np.concatenate(([not rising[0]], rising))
         after = np.concatenate((rising, [not rising[-1]]))
         runs = np.flatnonzero(before != after)
-        starts, ends, is_min = starts[runs], ends[runs], after[runs]
-    return Extrema(
-        starts, is_min, (starts == 0) | (ends == len(values) - 1), np.column_stack((starts, ends))
-    )
+        starts, is_min = starts[runs], after[runs]
+    return Extrema(starts, is_min)
 
 
 def sample_std(values: np.ndarray) -> float:

@@ -107,7 +107,7 @@ def simplify(series: TimeSeries, policy: SimplifyPolicy) -> TimeSeries:
     every anchor, and is monotone between consecutive anchors (direction
     set by the anchor values).
     """
-    diagram = diagram_of(series)  # validates
+    diagram = diagram_of(series)
     keep = _retained(diagram, policy)
     values = series.values
     ends = [0, len(values) - 1, diagram.essential_min_index]

@@ -236,6 +236,18 @@ def median_direct(values, window: int):
     return out
 
 
+def median_unclamped(values, window: int) -> np.ndarray:
+    """Sliding median with replicate padding over the full ``window``.
+
+    The radius is ``window // 2`` however short the series, so a wide
+    window pads and sorts that many samples at every index.
+    """
+    radius = window // 2
+    padded = np.pad(np.asarray(values, dtype=np.float64), radius, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, window)
+    return np.median(windows, axis=1)
+
+
 def gaussian_direct(values, sigma: float):
     values = [float(v) for v in values]
     n = len(values)

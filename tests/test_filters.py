@@ -9,6 +9,7 @@ from oracles import (
     gaussian_direct,
     interp_direct,
     median_direct,
+    median_unclamped,
 )
 
 from toposmooth import (
@@ -51,6 +52,17 @@ class TestMedian:
         window = 2 * half + 1
         out = median_filter(TimeSeries(values), window)
         assert np.allclose(out.values, median_direct(values, window))
+
+    @given(
+        st.lists(st.integers(0, 4).map(float), min_size=2, max_size=11)
+        | st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=11),
+        st.data(),
+    )
+    def test_window_wider_than_series_is_exact(self, values, data):
+        # Windows beyond 2n - 1 are computed with radius n - 1.
+        window = data.draw(st.integers(0, 2 * len(values)).map(lambda h: 2 * h + 1))
+        out = median_filter(TimeSeries(values), window)
+        assert out.values.tobytes() == median_unclamped(values, window).tobytes()
 
 
 class TestGaussian:

@@ -207,8 +207,8 @@ class TestCli:
         assert err[0].startswith(f"error: {method} parameter must be")
         assert not out.exists()
 
-    # Magnitudes stay within 1e4: a median window near 1e8 would really be
-    # allocated (gigabytes), not refused at once.
+    # Magnitudes stay within 1e4: a gaussian kernel for a sigma near 1e8
+    # would really be allocated (gigabytes), not refused at once.
     @pytest.mark.parametrize("method", CLI_METHODS)
     @settings(deadline=None)
     @given(
@@ -240,7 +240,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "args",
         [
-            ["smooth", "--method", "median", "--param", "10000000000001"],
             ["smooth", "--method", "gaussian", "--param", "1e13"],
             ["synth", "--kind", "noisy-sine", "--n", "100000000000000"],
         ],
@@ -255,6 +254,41 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error: Unable to allocate")
         assert not out.exists()
+
+    def test_median_window_wider_than_series_is_capped(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("1\n5\n2\n4\n0\n3\n")
+        outputs = []
+        for window in ("11", "10000000000001"):  # 11 = 2n - 1
+            out = tmp_path / f"median{window}.csv"
+            assert main(["smooth", "--input", str(data), "--method", "median",
+                         "--param", window, "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    # Finite input whose smoothing overflows: the result is refused in one
+    # line, while Douglas-Peucker only keeps the samples it cannot fit.
+    @pytest.mark.parametrize(
+        "method,param,code",
+        [("cutoff", "1", 1), ("subsample", "3", 1), ("douglas-peucker", "0", 0)],
+    )
+    def test_overflowing_smoothing_is_one_error_line(
+        self, tmp_path, capsys, method, param, code
+    ):
+        data = tmp_path / "data.csv"
+        data.write_text("1.7e308\n-1.7e308\n" * 4)
+        out = tmp_path / "out.csv"
+        assert main(["smooth", "--input", str(data), "--method", method,
+                     "--param", param, "--output", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1
+            assert err[0].startswith("error: invalid series: non-finite value")
+            assert not out.exists()
+        else:
+            assert err == []
+            values = load_csv(out).values
+            assert len(values) == 8 and np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("command", ["evaluate", "entropy"])
     @pytest.mark.parametrize(
