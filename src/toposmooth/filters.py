@@ -23,8 +23,6 @@ def median_filter(series: TimeSeries, window: int) -> TimeSeries:
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be an odd integer >= 1, got {window}")
-    if window == 1:
-        return series.with_values(series.values)
     radius = min(window // 2, len(series) - 1)
     padded = np.pad(series.values, radius, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * radius + 1)

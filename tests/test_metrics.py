@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from helpers import any_series, diagram_points, random_diagram, tie_rich_diagram_points
@@ -12,6 +14,7 @@ from toposmooth import (
     approx_entropy,
     bottleneck,
     diagram_of,
+    metrics,
     norm_l1,
     norm_linf,
     simplify,
@@ -185,6 +188,47 @@ class TestDiagramDistances:
             assert abs(bottleneck(c1, c2) - exhaustive_bottleneck(c1, c2)) <= 1e-9
 
 
+def covers_rows_exhaustive(adjacent) -> bool:
+    """Is there an injective choice of an adjacent column for every row?"""
+    rows, cols = adjacent.shape
+    return any(
+        all(adjacent[i, j] for i, j in enumerate(choice))
+        for choice in permutations(range(cols), rows)
+    )
+
+
+class TestCoversRows:
+    @pytest.mark.parametrize(
+        "adjacent",
+        [
+            # The middle row has no edge; the transpose has an empty column
+            # and three rows competing for two columns.
+            [[1, 1, 0], [0, 0, 0], [1, 0, 1]],
+            # Every row has an edge, but two rows share their only column.
+            [[1, 0, 0], [1, 0, 0], [0, 1, 1]],
+            # A perfect matching that needs the middle row's second choice.
+            [[1, 1, 0], [1, 1, 0], [0, 1, 1]],
+            # No columns at all.
+            np.zeros((2, 0)),
+        ],
+    )
+    def test_hand_made_graphs_both_ways_round(self, adjacent):
+        adjacent = np.asarray(adjacent, dtype=bool)
+        for graph in (adjacent, adjacent.T):
+            assert metrics._covers_rows(graph) == covers_rows_exhaustive(graph)
+
+    def test_random_sparse_graphs_against_exhaustive(self):
+        rng = np.random.default_rng(11)
+        empty_rows = 0
+        for _ in range(300):
+            shape = rng.integers(0, 5, 2)
+            adjacent = rng.random(shape) < rng.uniform(0.1, 0.7)
+            empty_rows += not adjacent.any(axis=1).all()
+            for graph in (adjacent, adjacent.T):
+                assert metrics._covers_rows(graph) == covers_rows_exhaustive(graph)
+        assert empty_rows > 0
+
+
 @given(any_series, st.floats(0.0, 8.0, allow_nan=False))
 @settings(max_examples=150)
 def test_smoothing_moves_diagram_at_most_half_threshold(values, t):
@@ -238,6 +282,33 @@ class TestApproxEntropy:
             values = np.round(values, decimals)
         r = 0.2 * float(np.std(values, ddof=1))
         assert approx_entropy(values, m=2, r=r) == apen_dense(values, 2, r)
+
+    @given(
+        st.sampled_from([-1e16, 1e16]),
+        st.lists(st.integers(0, 7), min_size=2, max_size=40),
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_dense_kernel_where_x_plus_r_rounds(self, offset, steps, r, m):
+        # The spacing of floats near 1e16 is 2, so x - r and x + r round,
+        # and the searchsorted ends of a sample's run need correcting.
+        assume(len(steps) > m + 1)
+        values = [offset + 2.0 * k for k in steps]
+        assert approx_entropy(values, m=m, r=r) == apen_dense(values, m, r)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_dense_kernel_with_few_rows_per_block(self, monkeypatch, rows, m):
+        # Blocks of one to three relation rows put block edges next to every
+        # slice that reads m rows past the block.
+        rng = np.random.default_rng(3)
+        walk = np.cumsum(rng.normal(0.0, 1.0, 97))
+        plateaus = np.repeat(rng.integers(0, 4, 30), rng.integers(1, 6, 30)).astype(float)
+        for values in (walk, plateaus):
+            monkeypatch.setattr(metrics, "_BLOCK_CELLS", rows * len(values))
+            r = 0.2 * float(np.std(values, ddof=1))
+            assert approx_entropy(values, m=m, r=r) == apen_dense(values, m, r)
 
     def test_rejects_bad_arguments(self):
         series = TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0])
