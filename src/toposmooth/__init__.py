@@ -11,8 +11,6 @@ from .evaluate import (
     EvaluationError,
     EvaluationResult,
     FitLine,
-    MethodRank,
-    RankReport,
     SweepPoint,
     auc,
     default_grids,
@@ -51,9 +49,7 @@ __all__ = [
     "ExtremaPair",
     "FitLine",
     "Fraction",
-    "MethodRank",
     "PersistenceDiagram",
-    "RankReport",
     "SweepPoint",
     "Threshold",
     "TimeSeries",

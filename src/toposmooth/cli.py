@@ -153,7 +153,7 @@ def _cmd_evaluate(args) -> int:
         "n": len(series),
         "source": "csv" if args.input else args.synth_kind,
     }
-    stem = series.label or "series"
+    stem = result.dataset
     write_report_json(out / f"{stem}_report.json", result, config_echo)
     write_sweep_csv(out / f"{stem}_sweep.csv", result)
     for metric in METRIC_NAMES:
@@ -164,7 +164,7 @@ def _cmd_evaluate(args) -> int:
             title=f"{stem}: {metric} vs entropy",
         )
         (out / f"{stem}_{metric}.svg").write_text(chart, encoding="utf-8")
-    overall = sorted(result.report.overall.items(), key=lambda kv: (kv[1], kv[0]))
+    overall = sorted(result.overall.items(), key=lambda kv: (kv[1], kv[0]))
     for method, rank in overall:
         print(f"{method}: average rank {rank:g}")
     return 0

@@ -144,23 +144,6 @@ class FitLine:
         return self.slope * e + self.intercept
 
 
-@dataclass(frozen=True)
-class MethodRank:
-    method: str
-    auc: float | None
-    rank: int
-    unrankable: bool = False
-
-
-@dataclass(frozen=True)
-class RankReport:
-    dataset: str
-    methods: tuple[str, ...]
-    per_metric: dict[str, tuple[MethodRank, ...]]
-    overall: dict[str, float]
-    shared_domain: tuple[float, float]
-
-
 def default_grids(n: int, value_range: float) -> dict[str, list[float]]:
     """Per-method parameter grids covering light to heavy smoothing."""
     return {name: METHODS[name].grid(n, value_range) for name in DEFAULT_METHODS}
@@ -252,46 +235,45 @@ def auc(fit: FitLine, shared_domain: tuple[float, float]) -> float:
 
 
 def rank_methods(
-    dataset: str,
     aucs: dict[str, dict[str, float | None]],
-    shared_domain: tuple[float, float],
-) -> RankReport:
+) -> tuple[dict[str, dict[str, dict]], dict[str, float]]:
     """Per-metric ranks (ascending AUC, ties by name) and their average.
 
     ``aucs`` maps metric name -> method -> AUC, with ``None`` marking a
     method that could not be ranked on that metric; such methods receive
-    rank ``#methods + 1`` there.
+    rank ``#methods + 1`` there. Returns ``(ranks, overall)``: ``ranks``
+    maps metric -> method -> ``{"auc", "rank", "unrankable"}``, and
+    ``overall`` maps method -> mean rank.
     """
     methods = sorted({m for per in aucs.values() for m in per})
     if len(methods) < 2:
         raise EvaluationError(f"need >= 2 methods to rank, got {len(methods)}")
-    per_metric: dict[str, tuple[MethodRank, ...]] = {}
+    ranks: dict[str, dict[str, dict]] = {}
     for metric in METRIC_NAMES:
         per = aucs[metric]
-        missing = [m for m in methods if per.get(m) is None]
-        ranked = sorted((m for m in methods if m not in missing), key=lambda m: (per[m], m))
-        # In (rank, method) order: rankable by (AUC, name), then the rest by name.
-        per_metric[metric] = tuple(
-            [MethodRank(m, per[m], pos) for pos, m in enumerate(ranked, start=1)]
-            + [MethodRank(m, None, len(methods) + 1, unrankable=True) for m in missing]
-        )
+        ranked = sorted((m for m in methods if per.get(m) is not None), key=lambda m: (per[m], m))
+        position = {m: pos for pos, m in enumerate(ranked, start=1)}
+        ranks[metric] = {
+            m: {
+                "auc": per.get(m),
+                "rank": position.get(m, len(methods) + 1),
+                "unrankable": m not in position,
+            }
+            for m in methods
+        }
     overall = {
-        m: sum(e.rank for entries in per_metric.values() for e in entries if e.method == m)
-        / len(METRIC_NAMES)
+        m: sum(ranks[metric][m]["rank"] for metric in METRIC_NAMES) / len(METRIC_NAMES)
         for m in methods
     }
-    return RankReport(
-        dataset=dataset,
-        methods=tuple(methods),
-        per_metric=per_metric,
-        overall=overall,
-        shared_domain=shared_domain,
-    )
+    return ranks, overall
 
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    report: RankReport
+    dataset: str
+    ranks: dict[str, dict[str, dict]]
+    overall: dict[str, float]
+    shared_domain: tuple[float, float]
     sweep_points: dict[str, tuple[SweepPoint, ...]]
     fits: dict[tuple[str, str], FitLine]
     failures: tuple[str, ...]
@@ -348,9 +330,12 @@ def evaluate_series(
         for metric in METRIC_NAMES
     }
 
-    report = rank_methods(series.label or "series", aucs, (e0, e1))
+    ranks, overall = rank_methods(aucs)
     return EvaluationResult(
-        report=report,
+        dataset=series.label or "series",
+        ranks=ranks,
+        overall=overall,
+        shared_domain=(e0, e1),
         sweep_points=all_points,
         fits=fits,
         failures=tuple(failures),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import METRIC_NAMES, EvaluationResult, FitLine, SweepPoint
+from .evaluate import EvaluationResult, FitLine, SweepPoint
 from .persistence import PersistenceDiagram
 from .series import TimeSeries
 
@@ -101,29 +101,16 @@ def canonical_json(obj) -> str:
 
 
 def report_to_dict(result: EvaluationResult, config_echo: dict) -> dict:
-    """Rank-report payload with a stable shape for serialization."""
-    report = result.report
-    metrics = {}
-    for metric in METRIC_NAMES:
-        metrics[metric] = {
-            entry.method: {
-                "auc": entry.auc,
-                "rank": entry.rank,
-                "unrankable": entry.unrankable,
-            }
-            for entry in report.per_metric[metric]
-        }
-    points = []
-    for method in sorted(result.sweep_points):
-        for p in result.sweep_points[method]:
-            points.append(asdict(p))
+    """Report payload; ``canonical_json`` sorts its keys."""
     return {
-        "dataset": report.dataset,
-        "methods": list(report.methods),
-        "metrics": metrics,
-        "overall_rank": dict(sorted(report.overall.items())),
-        "shared_entropy_domain": list(report.shared_domain),
-        "sweep_points": points,
+        "dataset": result.dataset,
+        "methods": sorted(result.overall),
+        "metrics": result.ranks,
+        "overall_rank": result.overall,
+        "shared_entropy_domain": list(result.shared_domain),
+        "sweep_points": [
+            asdict(p) for method in sorted(result.sweep_points) for p in result.sweep_points[method]
+        ],
         "failures": list(result.failures),
         "config": config_echo,
     }
@@ -166,13 +153,23 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [(v - lo) / span * (out_hi - out_lo) + out_lo for v in values]
 
 
+def _svg_text(x, y, anchor: str, size: int, content: str, fill: str | None = None) -> str:
+    """One ``<text>`` element; its content is escaped for XML."""
+    # What xml.sax.saxutils.escape does, without the urllib import it brings.
+    content = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    paint = f' fill="{fill}"' if fill else ""
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+        f'font-size="{size}"{paint}>{content}</text>'
+    )
+
+
 def _svg_header(title: str) -> list[str]:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        _svg_text(f"{_W / 2:.1f}", 20, "middle", 14, title),
         f'<rect x="{_M}" y="{_M}" width="{_W - 2 * _M}" height="{_H - 2 * _M}" '
         f'fill="none" stroke="#cccccc"/>',
     ]
@@ -193,10 +190,7 @@ def svg_line_chart(series_list: list[tuple[str, TimeSeries]], title: str) -> str
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )
-        parts.append(
-            f'<text x="{_W - _M - 4}" y="{_M + 16 + 14 * i}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{name}</text>'
-        )
+        parts.append(_svg_text(_W - _M - 4, _M + 16 + 14 * i, "end", 11, name, color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -228,9 +222,6 @@ def svg_metric_scatter(
                 f'<line x1="{px[0]:.2f}" y1="{py[0]:.2f}" x2="{px[1]:.2f}" '
                 f'y2="{py[1]:.2f}" stroke="{color}" stroke-width="1"/>'
             )
-        parts.append(
-            f'<text x="{_W - _M - 4}" y="{_M + 16 + 14 * i}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{method}</text>'
-        )
+        parts.append(_svg_text(_W - _M - 4, _M + 16 + 14 * i, "end", 11, method, color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -113,8 +113,9 @@ def bottleneck(c, c_prime) -> float:
     combine into one, and all other points go to the diagonal.
 
     A point forced across at t needs an edge within t, so no cost below the
-    largest min(half-persistence, nearest cross cost) is feasible; the
-    search starts at that bound.
+    largest min(half-persistence, nearest cross cost) is feasible. That
+    bound is a candidate and often the answer, so it is tested before any
+    candidate list is built; the search then runs only above it.
     """
     a, b = _points(c), _points(c_prime)
     cross = np.maximum(
@@ -122,25 +123,31 @@ def bottleneck(c, c_prime) -> float:
     )
     half_a = (a[:, 1] - a[:, 0]) / 2.0
     half_b = (b[:, 1] - b[:, 0]) / 2.0
-    halves = np.concatenate([half_a, half_b, [0.0]])
-    candidates = np.unique(np.concatenate([cross.ravel(), halves]))
-    # Sending every point to the diagonal costs the largest half-persistence,
-    # so the largest candidate kept is feasible.
-    candidates = candidates[candidates <= halves.max()]
     bound = max(
         np.minimum(half_a, cross.min(axis=1, initial=np.inf)).max(initial=-np.inf),
         np.minimum(half_b, cross.min(axis=0, initial=np.inf)).max(initial=-np.inf),
     )
-    lo, hi = int(np.searchsorted(candidates, bound)), len(candidates) - 1
-    mid = lo  # the bound is often the answer, so it is probed first
-    while lo < hi:
-        t = float(candidates[mid])
+    if bound == -np.inf:  # both diagrams are empty
+        return 0.0
+
+    def feasible(t: float) -> bool:
         close = cross <= t
-        if _covers_rows(close[half_a > t]) and _covers_rows(close[:, half_b > t].T):
+        return _covers_rows(close[half_a > t]) and _covers_rows(close[:, half_b > t].T)
+
+    if feasible(bound):
+        return float(bound)
+    halves = np.concatenate([half_a, half_b])
+    candidates = np.unique(np.concatenate([cross.ravel(), halves]))
+    # Sending every point to the diagonal costs the largest half-persistence,
+    # so the largest candidate kept is feasible.
+    candidates = candidates[(candidates > bound) & (candidates <= halves.max())]
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(float(candidates[mid])):
             hi = mid
         else:
             lo = mid + 1
-        mid = (lo + hi) // 2
     return float(candidates[lo])
 
 

@@ -164,4 +164,7 @@ def sample_std(values: np.ndarray) -> float:
     """Sample standard deviation (ddof=1) used for entropy tolerances."""
     if len(values) < 2:
         return 0.0
-    return float(np.std(np.asarray(values, dtype=np.float64), ddof=1))
+    # Values near the float limit overflow the squares to inf, which the
+    # callers refuse with one error; numpy need not warn first.
+    with np.errstate(over="ignore"):
+        return float(np.std(np.asarray(values, dtype=np.float64), ddof=1))

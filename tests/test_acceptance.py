@@ -179,7 +179,6 @@ def test_qualitative_spike_train_claim():
     start = time.perf_counter()
     series = generate_synthetic("spike_train", 1024, 7)
     result = evaluate_series(series)
-    report = result.report
 
     topo_points = result.sweep_points["topological"]
     matches = 0
@@ -195,8 +194,9 @@ def test_qualitative_spike_train_claim():
     assert matches > 0, "no matched entropy levels; comparison would be vacuous"
 
     for metric in ("l1", "linf"):
-        best = next(e for e in report.per_metric[metric] if e.rank == 1)
-        assert best.method == "topological", report.per_metric[metric]
+        ranks = result.ranks[metric]
+        best = next(method for method, entry in ranks.items() if entry["rank"] == 1)
+        assert best == "topological", ranks
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"took {elapsed:.1f}s"
 

@@ -126,18 +126,20 @@ def make_aucs(per_metric_auc):
     return {metric: dict(per_metric_auc) for metric in METRIC_NAMES}
 
 
+def rank_numbers(per_method):
+    return {method: entry["rank"] for method, entry in per_method.items()}
+
+
 class TestRanking:
     def test_simple_order(self):
-        report = rank_methods("d", make_aucs({"A": 1.0, "B": 2.0}), (0.0, 1.0))
+        ranks, overall = rank_methods(make_aucs({"A": 1.0, "B": 2.0}))
         for metric in METRIC_NAMES:
-            ranks = {e.method: e.rank for e in report.per_metric[metric]}
-            assert ranks == {"A": 1, "B": 2}
-        assert report.overall == {"A": 1.0, "B": 2.0}
+            assert rank_numbers(ranks[metric]) == {"A": 1, "B": 2}
+        assert overall == {"A": 1.0, "B": 2.0}
 
     def test_tie_broken_by_name(self):
-        report = rank_methods("d", make_aucs({"A": 1.0, "B": 1.0}), (0.0, 1.0))
-        ranks = {e.method: e.rank for e in report.per_metric["l1"]}
-        assert ranks == {"A": 1, "B": 2}
+        ranks, _ = rank_methods(make_aucs({"A": 1.0, "B": 1.0}))
+        assert rank_numbers(ranks["l1"]) == {"A": 1, "B": 2}
 
     def test_average_of_mixed_ranks(self):
         aucs = {
@@ -146,30 +148,24 @@ class TestRanking:
             "w1": {"A": 2.0, "B": 1.0},
             "bottleneck": {"A": 2.0, "B": 1.0},
         }
-        report = rank_methods("d", aucs, (0.0, 1.0))
-        assert report.overall == {"A": 1.5, "B": 1.5}
+        _, overall = rank_methods(aucs)
+        assert overall == {"A": 1.5, "B": 1.5}
 
     def test_unrankable_gets_penalty_rank(self):
-        aucs = make_aucs({"A": 1.0, "B": 2.0, "C": None})
-        report = rank_methods("d", aucs, (0.0, 1.0))
-        entry = {e.method: e for e in report.per_metric["l1"]}["C"]
-        assert entry.rank == 4 and entry.unrankable
-        assert report.overall["C"] == 4.0
+        ranks, overall = rank_methods(make_aucs({"A": 1.0, "B": 2.0, "C": None}))
+        assert ranks["l1"]["C"] == {"auc": None, "rank": 4, "unrankable": True}
+        assert overall["C"] == 4.0
 
     def test_rank_invariant_under_metric_rescaling(self):
         base = {"A": 0.5, "B": 1.25, "C": 3.0}
-        r1 = rank_methods("d", make_aucs(base), (0.0, 1.0))
-        r2 = rank_methods(
-            "d", make_aucs({k: 17.0 * v for k, v in base.items()}), (0.0, 1.0)
-        )
+        r1, _ = rank_methods(make_aucs(base))
+        r2, _ = rank_methods(make_aucs({k: 17.0 * v for k, v in base.items()}))
         for metric in METRIC_NAMES:
-            assert [e.method for e in r1.per_metric[metric]] == [
-                e.method for e in r2.per_metric[metric]
-            ]
+            assert rank_numbers(r1[metric]) == rank_numbers(r2[metric])
 
     def test_needs_two_methods(self):
         with pytest.raises(EvaluationError):
-            rank_methods("d", make_aucs({"A": 1.0}), (0.0, 1.0))
+            rank_methods(make_aucs({"A": 1.0}))
 
 
 @pytest.fixture(scope="module")
@@ -184,14 +180,12 @@ def series():
 class TestEvaluateSeries:
     def test_report_structure(self, series):
         result = evaluate_series(series)
-        report = result.report
-        assert report.dataset == "unit"
-        assert len(report.methods) == 6
+        assert result.dataset == "unit"
+        assert len(result.overall) == 6
         for metric in METRIC_NAMES:
-            ranks = sorted(e.rank for e in report.per_metric[metric])
-            assert ranks == list(range(1, 7))
-        assert report.shared_domain[0] < report.shared_domain[1]
-        assert set(report.overall) == set(report.methods)
+            assert sorted(rank_numbers(result.ranks[metric]).values()) == list(range(1, 7))
+            assert set(result.ranks[metric]) == set(result.overall)
+        assert result.shared_domain[0] < result.shared_domain[1]
 
     def test_deterministic_reports(self, series):
         config = {"m": 2, "r_factor": 0.2}

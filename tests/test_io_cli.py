@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -134,6 +135,19 @@ class TestSvg:
         text = svg_metric_scatter("l1", pts, fits, "demo")
         assert text.count("<circle") == 2
         assert text.count("<line") == 1
+
+    def test_title_and_legend_text_escaped(self):
+        from toposmooth.evaluate import SweepPoint
+
+        label = "a&b <c>"
+        series = TimeSeries([0, 1, 0, 2])
+        pts = {label: (SweepPoint(label, 1.0, 0.1, 1.0, 1.0, 1.0, 1.0),)}
+        for text in (
+            svg_line_chart([(label, series)], label),
+            svg_metric_scatter("l1", pts, {}, label),
+        ):
+            texts = ElementTree.fromstring(text).iter("{http://www.w3.org/2000/svg}text")
+            assert [t.text for t in texts] == [label, label]
 
 
 class TestCli:
@@ -316,6 +330,18 @@ class TestCli:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "entropy"])
+    def test_overflowing_deviation_is_one_error_line(self, tmp_path, capsys, command):
+        # Finite values whose squared deviations overflow the standard deviation.
+        data = tmp_path / "data.csv"
+        data.write_text("0\n1e200\n-1e200\n3e199\n5\n")
+        out_dir = tmp_path / "results"
+        extra = ["--out-dir", str(out_dir)] if command == "evaluate" else []
+        assert main([command, "--input", str(data), *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
         assert not out_dir.exists()
 
     def test_config_value_checked_like_a_flag(self, tmp_path, capsys):
