@@ -1,7 +1,7 @@
-"""Per-stage timings of the package, merged into BENCH_stages.json.
+"""Per-stage timings of the package before and after a change, in BENCH_stages.json.
 
-    python3 scripts/bench_stages.py --side after
-    python3 scripts/bench_stages.py --side before --src OTHER_CHECKOUT/src --label TEXT
+    python3 scripts/bench_stages.py --before OTHER_CHECKOUT/src \
+        --before-label TEXT --after-label TEXT [--runs 5]
 
 At n = 1024, 4096 and 16384, on a seed-7 random walk and on the same walk
 heavily smoothed (``simplify`` with ``Fraction(0.95)``, which leaves long
@@ -18,14 +18,18 @@ plateaus and few pairs), times:
 
 Then ``simplify`` with ``Fraction(0.5)`` of the seed-7 noisy sine at
 n=131072, and one ``evaluate_series`` of the seed-7 spike train at
-n=1024. Each time is the median of ``REPEATS`` calls in one process with
-BLAS pinned to one thread.
+n=1024.
 
-The package is imported from ``--src`` (default: ``src/`` of this
-checkout), so the one script times both sides of a change. Each side is
-written under its own key, with the environment and a value per stage
-(a float hex string or a sha256 of the output); when both sides are
-present the script says whether every value is identical between them.
+A run is one fresh process that imports the package from one side's
+``src`` and times every stage as the median of ``REPEATS`` calls, with
+BLAS pinned to one thread. The script makes ``--runs`` rounds of one run
+a side, alternating which side goes first, so load from other processes
+falls on both sides alike. Each side records, per stage, the median of its run times
+with the quartiles beside it and a value (a float hex string or a sha256
+of the output), which must be the same in every run. The comparison says
+whether every value is identical between the sides, and gives each
+stage's speedup (the ratio of the medians) with ``resolved`` true when
+the two sides' quartile ranges do not overlap.
 """
 
 import os
@@ -38,6 +42,7 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
@@ -71,8 +76,8 @@ def digest(obj) -> str:
 
 
 def measure() -> dict:
+    """One run: every stage's median time and value, in this process."""
     import numpy as np
-    import scipy
 
     from toposmooth import (
         Fraction,
@@ -100,7 +105,6 @@ def measure() -> dict:
     def stage(name, call, value):
         seconds, result = median_time(call)
         stages[name] = {"s": round(seconds, 5), "value": value(result)}
-        print(f"{name}: {seconds:.4f} s", file=sys.stderr)
         return result
 
     for n in SIZES:
@@ -124,41 +128,87 @@ def measure() -> dict:
     spikes = generate_synthetic("spike_train", 1024, 7)
     seconds, _ = median_time(lambda: evaluate_series(spikes))
     stages["evaluate_series/spike_train/n1024"] = {"s": round(seconds, 3)}
-    print(f"evaluate_series spike_train n=1024: {seconds:.3f} s", file=sys.stderr)
+    return stages
+
+
+def environment() -> dict:
+    import numpy as np
+    import scipy
+
     return {
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "cpus": os.cpu_count(),
-            "cpu_model": cpu_model(),
-            "repeats": REPEATS,
-        },
-        "stages": stages,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpus": os.cpu_count(),
+        "cpu_model": cpu_model(),
+        "repeats": REPEATS,
     }
+
+
+def one_run(src: Path) -> dict:
+    """Run ``measure`` in a fresh process importing the package from ``src``."""
+    done = subprocess.run(
+        [sys.executable, __file__, "--measure", str(src)],
+        check=True, capture_output=True, text=True,
+    )
+    return json.loads(done.stdout)
+
+
+def summarise(runs: list[dict]) -> dict:
+    """Median and quartiles of each stage's run times, and its one value."""
+    summary = {}
+    for name in runs[0]:
+        times = [run[name]["s"] for run in runs]
+        values = {run[name].get("value") for run in runs}
+        if len(values) != 1:
+            raise SystemExit(f"{name}: the output changed between runs")
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        summary[name] = {"s": median, "q1": round(q1, 5), "q3": round(q3, 5), "runs": times}
+        if None not in values:
+            summary[name]["value"] = values.pop()
+    return summary
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--side", choices=("before", "after"), required=True)
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--label", type=str, default=None, help="what the --src tree is")
+    parser.add_argument("--before", type=Path, help="src/ of the checkout before the change")
+    parser.add_argument("--after", type=Path, default=ROOT / "src")
+    parser.add_argument("--before-label", type=str, default=None, help="what --before is")
+    parser.add_argument("--after-label", type=str, default=None, help="what --after is")
+    parser.add_argument("--runs", type=int, default=5, help="alternating runs a side")
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_stages.json")
+    parser.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
+    if args.measure is not None:
+        sys.path.insert(0, str(args.measure.resolve()))
+        json.dump(measure(), sys.stdout)
+        return 0
+    if args.before is None:
+        parser.error("--before is required")
+    if args.runs < 2:
+        parser.error("--runs must be at least 2 for quartiles")
 
-    record = measure()
-    record["label"] = args.label
-    bench = json.loads(args.output.read_text()) if args.output.exists() else {}
-    bench[args.side] = record
-    if "before" in bench and "after" in bench:
-        before, after = bench["before"]["stages"], bench["after"]["stages"]
-        bench["identical_values"] = all(
-            before[k].get("value") == after[k].get("value") for k in before.keys() & after.keys()
-        )
-        bench["speedup"] = {
-            k: round(before[k]["s"] / after[k]["s"], 1) for k in sorted(before.keys() & after.keys())
+    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
+    runs = {side: [] for side in sides}
+    for index in range(args.runs):
+        # Alternate which side goes first, so neither always follows the other.
+        for side in sorted(sides, reverse=index % 2 == 1):
+            print(f"run {index + 1}/{args.runs}, {side}", file=sys.stderr)
+            runs[side].append(one_run(sides[side]))
+    labels = {"before": args.before_label, "after": args.after_label}
+    bench = {"environment": environment(), "runs": args.runs}
+    for side in sides:
+        bench[side] = {"label": labels[side], "stages": summarise(runs[side])}
+    before, after = bench["before"]["stages"], bench["after"]["stages"]
+    shared = sorted(before.keys() & after.keys())
+    bench["identical_values"] = all(before[k].get("value") == after[k].get("value") for k in shared)
+    bench["speedup"] = {
+        k: {
+            "ratio": round(before[k]["s"] / after[k]["s"], 2),
+            "resolved": before[k]["q3"] < after[k]["q1"] or after[k]["q3"] < before[k]["q1"],
         }
+        for k in shared
+    }
     args.output.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -113,9 +113,12 @@ def bottleneck(c, c_prime) -> float:
     combine into one, and all other points go to the diagonal.
 
     A point forced across at t needs an edge within t, so no cost below the
-    largest min(half-persistence, nearest cross cost) is feasible. That
-    bound is a candidate and often the answer, so it is tested before any
-    candidate list is built; the search then runs only above it.
+    largest min(half-persistence, nearest cross cost) is feasible; and at
+    least |m - n| points of the larger diagram take the diagonal, so none
+    is below its |m - n|-th smallest half-persistence either. The larger of
+    the two bounds is a candidate and often the answer (always, when one
+    diagram is a most-persistent subset of the other), so it is tested
+    before any candidate list is built; the search then runs only above it.
     """
     a, b = _points(c), _points(c_prime)
     cross = np.maximum(
@@ -127,6 +130,11 @@ def bottleneck(c, c_prime) -> float:
         np.minimum(half_a, cross.min(axis=1, initial=np.inf)).max(initial=-np.inf),
         np.minimum(half_b, cross.min(axis=0, initial=np.inf)).max(initial=-np.inf),
     )
+    # At most min(m, n) points cross, so the |m - n| least persistent
+    # points of the larger diagram are the fewest that can take the diagonal.
+    larger, excess = (half_a, len(a) - len(b)) if len(a) > len(b) else (half_b, len(b) - len(a))
+    if excess:
+        bound = max(bound, np.partition(larger, excess - 1)[excess - 1])
     if bound == -np.inf:  # both diagrams are empty
         return 0.0
 

@@ -164,7 +164,11 @@ def sample_std(values: np.ndarray) -> float:
     """Sample standard deviation (ddof=1) used for entropy tolerances."""
     if len(values) < 2:
         return 0.0
-    # Values near the float limit overflow the squares to inf, which the
-    # callers refuse with one error; numpy need not warn first.
-    with np.errstate(over="ignore"):
-        return float(np.std(np.asarray(values, dtype=np.float64), ddof=1))
+    # Finite values near the float limit overflow the sum (to a NaN
+    # deviation) or the squared deviations (to inf). That is refused here,
+    # in one error, and numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(np.std(np.asarray(values, dtype=np.float64), ddof=1))
+    if not np.isfinite(std):
+        raise ValueError("sample standard deviation overflowed (values too large for float64)")
+    return std

@@ -8,6 +8,11 @@ into the interval spanned by the anchor values with the anchor values
 restored exactly. Keeping the essential minimum anchored is what makes the
 diagram of the output exactly the retained pairs and a zero threshold the
 identity.
+
+The segments that need a refit are concatenated and fitted together:
+``isotonic_fit`` takes their starts as a keyword, pools only within a
+segment, and runs once per batch of whole segments, so the per-call cost
+is paid per batch rather than per segment.
 """
 
 from __future__ import annotations
@@ -46,6 +51,14 @@ class Fraction:
 
 SimplifyPolicy = Threshold | Fraction
 
+# Samples refitted per isotonic_fit call in simplify, which holds three
+# Python lists (samples, means, weights) of up to this many entries. On
+# perfbench's smooth_topo_n131072 (2-CPU Xeon), 2**14-sample batches kept
+# the peak RSS at 109-111 MB (111 MB with one call per segment), while
+# one batch of every segment raised it to 117-119 MB at the same speed.
+# The fit does not depend on it.
+_PAV_SAMPLES = 2**14
+
 
 def _retained(diagram: PersistenceDiagram, policy: SimplifyPolicy) -> np.ndarray:
     """Boolean mask over the diagram's pairs: True where the policy keeps the pair."""
@@ -81,23 +94,67 @@ def select_pairs(
     return tuple(compress(pairs, keep.tolist())), tuple(compress(pairs, (~keep).tolist()))
 
 
-def isotonic_fit(values) -> np.ndarray:
-    """Least-squares non-decreasing fit (pool-adjacent-violators, O(n))."""
+def isotonic_fit(values, *, starts=None) -> np.ndarray:
+    """Least-squares non-decreasing fit (pool-adjacent-violators, O(n)).
+
+    With ``starts`` (increasing integer indices, the first 0), each run of
+    samples from one start to the next is fitted on its own: no pool
+    crosses a start. Without it the whole sequence is one run.
+    """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("isotonic_fit expects a non-empty 1D sequence")
+    bounds = np.append(np.asarray([0] if starts is None else starts), len(x))
+    if bounds.dtype.kind != "i" or bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
+        raise ValueError("starts must be integers increasing from 0 below the length")
+    bounds = bounds.tolist()
+    samples = x.tolist()
     # Stack of blocks (mean, weight); merge while the tail violates order.
+    # Each run opens with a weightless -inf block, which no sample pools
+    # into and np.repeat drops, so pools stay inside their run.
     means: list[float] = []
     weights: list[int] = []
-    for m in x.tolist():
-        w = 1
-        while means and means[-1] > m:
-            pm, pw = means.pop(), weights.pop()
-            m = (m * w + pm * pw) / (w + pw)
-            w += pw
-        means.append(m)
-        weights.append(w)
+    # Bound methods save an attribute lookup per sample in the hot loop.
+    push_mean, push_weight, pop_mean, pop_weight = (
+        means.append, weights.append, means.pop, weights.pop
+    )
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        push_mean(-math.inf)
+        push_weight(0)
+        for m in samples[a:b]:
+            w = 1
+            while means[-1] > m:
+                pm, pw = pop_mean(), pop_weight()
+                m = (m * w + pm * pw) / (w + pw)
+                w += pw
+            push_mean(m)
+            push_weight(w)
     return np.repeat(means, weights)
+
+
+def _refit(values: np.ndarray, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the monotone fit of each segment ``left[k]..right[k]``.
+
+    The segments are concatenated and fitted in one pass; a falling segment
+    is the negated non-decreasing fit of its negation (negation is exact).
+    """
+    length = right - left + 1
+    starts = np.cumsum(length) - length
+    index = np.arange(int(length.sum())) + np.repeat(left - starts, length)
+    lo, hi = values[left], values[right]
+    sign = np.repeat(np.where(lo <= hi, 1.0, -1.0), length)
+    fitted = sign * isotonic_fit(sign * values[index], starts=starts)
+    # Clip into the anchors' interval with the bounds in the order Python's
+    # min(lo, hi) and max(lo, hi) pick them, keeping a sample equal to a
+    # bound as it is: np.clip with array bounds would return the bound's
+    # signed zero instead.
+    lower = np.repeat(np.where(hi < lo, hi, lo), length)
+    upper = np.repeat(np.where(hi > lo, hi, lo), length)
+    fitted = np.where(fitted < lower, lower, np.where(fitted > upper, upper, fitted))
+    fitted[starts] = lo
+    fitted[starts + length - 1] = hi
+    # Adjacent segments share an anchor; both write its own value there.
+    out[index] = fitted
 
 
 def simplify(series: TimeSeries, policy: SimplifyPolicy) -> TimeSeries:
@@ -122,15 +179,16 @@ def simplify(series: TimeSeries, policy: SimplifyPolicy) -> TimeSeries:
     against = np.where(
         values[left] <= values[right], falls[right] - falls[left], rises[right] - rises[left]
     )
+    left, right = left[against > 0], right[against > 0]
     out = np.array(values, dtype=np.float64)
-    for a, b in zip(left[against > 0].tolist(), right[against > 0].tolist()):
-        seg = values[a : b + 1]
-        lo, hi = float(values[a]), float(values[b])
-        # A falling segment is the negated non-decreasing fit of its negation;
-        # negation is exact.
-        sign = 1.0 if lo <= hi else -1.0
-        fitted = sign * isotonic_fit(sign * seg)
-        np.clip(fitted, min(lo, hi), max(lo, hi), out=fitted)
-        fitted[0], fitted[-1] = lo, hi
-        out[a : b + 1] = fitted
+    # Refit whole segments, at most _PAV_SAMPLES samples a batch (a longer
+    # segment is a batch of its own).
+    ends_at = np.cumsum(right - left + 1)
+    begins_at = ends_at - (right - left + 1)
+    first = 0
+    while first < len(left):
+        stop = int(np.searchsorted(ends_at, begins_at[first] + _PAV_SAMPLES, "right"))
+        stop = max(stop, first + 1)
+        _refit(values, left[first:stop], right[first:stop], out)
+        first = stop
     return series.with_values(out)

@@ -321,11 +321,11 @@ def douglas_peucker_greedy(values, xs, epsilon: float) -> list[int]:
 
 
 def _pav(values):
-    """Pool-adjacent-violators over numpy scalars, one sample at a time."""
+    """Pool-adjacent-violators over Python floats, one sample at a time."""
     means: list[float] = []
     weights: list[int] = []
-    for v in values:
-        m, w = float(v), 1
+    for m in values.tolist():
+        w = 1
         while means and means[-1] > m:
             pm, pw = means.pop(), weights.pop()
             m = (m * w + pm * pw) / (w + pw)
@@ -335,18 +335,17 @@ def _pav(values):
     return np.repeat(means, weights)
 
 
-def simplify_all_segments(values, pairs, essential_min_index: int, policy) -> np.ndarray:
-    """Topological simplification refitting every segment between anchors.
+def simplify_anchors(n: int, pairs, essential_min_index: int, policy) -> list[int]:
+    """Sorted anchors of a topological simplification of an n-sample series.
 
     ``pairs`` are a diagram's pairs (objects with ``birth_index``,
     ``death_index`` and ``persistence``) in diagram order and ``policy`` is
     a ``Threshold`` or a ``Fraction``. A threshold removes every pair
     below it; a fraction removes the floor(q * m) first pairs in
-    (persistence, interval width, birth index) order. Every segment with
-    an interior sample gets the monotone PAV fit toward its end anchor,
-    clipped to the anchor values with the anchor values restored.
+    (persistence, interval width, birth index) order. The anchors are both
+    boundary samples, the essential minimum and the ends of every retained
+    pair.
     """
-    values = np.asarray(values, dtype=np.float64)
     if type(policy).__name__ == "Threshold":
         retained = [p for p in pairs if not p.persistence < policy.value]
     else:
@@ -354,12 +353,23 @@ def simplify_all_segments(values, pairs, essential_min_index: int, policy) -> np
             pairs,
             key=lambda p: (p.persistence, abs(p.death_index - p.birth_index), p.birth_index),
         )
-        removed = ranked[: math.floor(policy.value * len(pairs))]
+        removed = set(ranked[: math.floor(policy.value * len(pairs))])
         retained = [p for p in pairs if p not in removed]
-    anchors = sorted(
-        {0, len(values) - 1, essential_min_index}
+    return sorted(
+        {0, n - 1, essential_min_index}
         | {i for p in retained for i in (p.birth_index, p.death_index)}
     )
+
+
+def refit_segments(values, anchors) -> np.ndarray:
+    """The per-segment refit between sorted anchors, one segment at a time.
+
+    Every segment with an interior sample gets the monotone PAV fit toward
+    its end anchor (a falling one as the negated fit of its negation),
+    clipped with scalar bounds to the anchor values, with the anchor values
+    restored.
+    """
+    values = np.asarray(values, dtype=np.float64)
     out = values.copy()
     for left, right in zip(anchors, anchors[1:]):
         if right - left < 2:
@@ -368,7 +378,13 @@ def simplify_all_segments(values, pairs, essential_min_index: int, policy) -> np
         lo, hi = float(values[left]), float(values[right])
         sign = 1.0 if lo <= hi else -1.0
         fitted = sign * _pav(sign * seg)
-        np.clip(fitted, min(lo, hi), max(lo, hi), out=fitted)
+        fitted.clip(min(lo, hi), max(lo, hi), out=fitted)
         fitted[0], fitted[-1] = lo, hi
         out[left : right + 1] = fitted
     return out
+
+
+def simplify_all_segments(values, pairs, essential_min_index: int, policy) -> np.ndarray:
+    """Topological simplification refitting every segment between anchors."""
+    anchors = simplify_anchors(len(values), pairs, essential_min_index, policy)
+    return refit_segments(values, anchors)

@@ -341,7 +341,7 @@ class TestCli:
         extra = ["--out-dir", str(out_dir)] if command == "evaluate" else []
         assert main([command, "--input", str(data), *extra]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        assert err == ["error: sample standard deviation overflowed (values too large for float64)"]
         assert not out_dir.exists()
 
     def test_config_value_checked_like_a_flag(self, tmp_path, capsys):

@@ -95,6 +95,15 @@ def nearest_cost_bound(c1, c2) -> float:
     return max(nearest(c1, c2) + nearest(c2, c1), default=0.0)
 
 
+def lower_bound(c1, c2) -> float:
+    """The nearest-cost bound, raised to the count bound: at least |m - n|
+    points of the larger diagram take the diagonal."""
+    larger, smaller = (c1, c2) if len(c1) >= len(c2) else (c2, c1)
+    excess = len(larger) - len(smaller)
+    halves = sorted((d - b) / 2.0 for b, d in larger)
+    return max(nearest_cost_bound(c1, c2), halves[excess - 1] if excess else 0.0)
+
+
 class TestDiagramDistances:
     def test_equal_diagrams_zero(self):
         c = [(0.0, 1.0), (2.0, 5.0)]
@@ -158,13 +167,51 @@ class TestDiagramDistances:
             ([(0.0, 3.0), (1.0, 4.0), (-1.0, 2.0)], [(0.0, 3.0), (0.0, 3.0)]),
         ],
     )
+    def test_count_bound_answers_where_the_nearest_cost_bound_fails(self, c1, c2):
+        # Each point has a partner within the nearest-cost bound, but more
+        # points compete for those partners than there are; the surplus
+        # takes the diagonal, which the count bound prices exactly here.
+        expected = exhaustive_bottleneck(c1, c2)
+        assert nearest_cost_bound(c1, c2) < expected == lower_bound(c1, c2)
+        assert bottleneck(c1, c2) == expected
+        assert bottleneck(c2, c1) == expected
+
+    @pytest.mark.parametrize(
+        "c1, c2",
+        [
+            ([(0.0, 1.0), (0.0, 2.0)], [(0.0, 3.0), (0.0, 3.0)]),
+            ([(0.0, 1.0), (1.0, 4.0)], [(0.0, 4.0), (0.0, 4.0)]),
+            ([(0.0, 1.0), (0.0, 3.0), (2.0, 6.0)], [(0.0, 6.0), (1.0, 7.0)]),
+            ([(0.0, 1.0), (1.0, 4.0)], [(1.0, 2.0), (1.0, 5.0), (0.0, 4.0)]),
+        ],
+    )
     def test_search_above_an_infeasible_lower_bound(self, c1, c2):
-        # Each point has a partner within the bound, but more points compete
-        # for those partners than there are, so the bound is infeasible and
-        # the answer comes from the search above it.
-        assert nearest_cost_bound(c1, c2) < exhaustive_bottleneck(c1, c2)
-        assert bottleneck(c1, c2) == exhaustive_bottleneck(c1, c2)
-        assert bottleneck(c2, c1) == exhaustive_bottleneck(c1, c2)
+        # The bound is infeasible, so the answer comes from the search above it.
+        expected = exhaustive_bottleneck(c1, c2)
+        assert lower_bound(c1, c2) < expected
+        assert bottleneck(c1, c2) == expected
+        assert bottleneck(c2, c1) == expected
+
+    def test_most_persistent_subset_takes_one_probe(self, monkeypatch):
+        # Dropping the least persistent points leaves a diagram whose distance
+        # to the original is the largest dropped half-persistence; the count
+        # bound equals it, so one feasibility test (two sides) settles it.
+        # A random walk's small pairs lie close to its large ones, so the
+        # nearest-cost bound alone falls below the answer.
+        full = diagram_of(toposmooth.generate_synthetic("random_walk", 512, 7)).finite_points()
+        halves = (full[:, 1] - full[:, 0]) / 2.0
+        order = np.argsort(halves, kind="stable")
+        kept = full[order[len(full) // 2 :]]
+        assert nearest_cost_bound(full.tolist(), kept.tolist()) < halves[order[len(full) // 2 - 1]]
+        calls = []
+        covers_rows = metrics._covers_rows
+        monkeypatch.setattr(
+            metrics, "_covers_rows", lambda adjacent: calls.append(1) or covers_rows(adjacent)
+        )
+        for c1, c2 in ((full, kept), (kept, full)):
+            calls.clear()
+            assert bottleneck(c1.tolist(), c2.tolist()) == halves[order[len(full) // 2 - 1]]
+            assert len(calls) <= 2
 
     def test_tie_rich_diagrams_take_both_paths(self):
         rng = np.random.default_rng(23)
@@ -176,7 +223,7 @@ class TestDiagramDistances:
             )
             expected = exhaustive_bottleneck(c1, c2)
             assert bottleneck(c1, c2) == expected
-            searched += nearest_cost_bound(c1, c2) < expected
+            searched += lower_bound(c1, c2) < expected
         assert 0 < searched < 300
 
     def test_larger_random_diagrams_against_oracle(self):

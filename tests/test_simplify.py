@@ -5,7 +5,7 @@ import pytest
 from helpers import any_series, int_series, normal_series, plateau_series, random_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import isotonic_best, simplify_all_segments
+from oracles import isotonic_best, refit_segments, simplify_all_segments, simplify_anchors
 
 from toposmooth import (
     Fraction,
@@ -13,6 +13,7 @@ from toposmooth import (
     Threshold,
     TimeSeries,
     diagram_of,
+    generate_synthetic,
     isotonic_fit,
     select_pairs,
     simplify,
@@ -105,6 +106,35 @@ class TestIsotonic:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             isotonic_fit([])
+
+    @pytest.mark.parametrize("starts", [[], [1], [0, 0], [0, 3, 2], [0, 4], [0.0, 2.0]])
+    def test_rejects_bad_starts(self, starts):
+        with pytest.raises(ValueError):
+            isotonic_fit([1.0, 3.0, 2.0, 4.0], starts=starts)
+
+    def test_starts_keep_pools_inside_runs(self):
+        # Pooled as one run, 3 and 2 would pool across the start at 2.
+        fit = isotonic_fit([1.0, 3.0, 2.0, 4.0], starts=[0, 2])
+        assert fit.tolist() == [1.0, 3.0, 2.0, 4.0]
+
+    def test_length_two_runs(self):
+        fit = isotonic_fit([3.0, 1.0, 2.0, 2.0, 0.0, 5.0, -0.0, 0.0], starts=[0, 2, 4, 6])
+        assert fit.view(np.int64).tolist() == np.array(
+            [2.0, 2.0, 2.0, 2.0, 0.0, 5.0, -0.0, 0.0]
+        ).view(np.int64).tolist()
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=40),
+        st.sets(st.integers(1, 39)),
+    )
+    def test_starts_equal_one_fit_per_run(self, values, cuts):
+        starts = [0, *sorted(c for c in cuts if c < len(values))]
+        bounds = [*starts, len(values)]
+        expected = np.concatenate(
+            [isotonic_fit(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+        )
+        fit = isotonic_fit(values, starts=np.array(starts))
+        assert fit.tobytes() == expected.tobytes()
 
     @given(
         st.lists(
@@ -243,3 +273,122 @@ def test_simplify_reaches_classification_through_module_globals(monkeypatch):
     simplify(series, Fraction(0.5))
     simplify(series, Threshold(2.5))
     assert calls == ["diagram_of", "classify_extrema"] * 2
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _per_segment(values, policy) -> np.ndarray:
+    d = diagram_of(values)
+    anchors = simplify_anchors(len(values), d.pairs, d.essential_min_index, policy)
+    return refit_segments(values, anchors)
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 131072])
+@pytest.mark.parametrize("kind", ["spike_train", "noisy_sine", "random_walk", "noisy_sine_rounded"])
+def test_refit_equals_per_segment_oracle_on_synthetic(kind, n):
+    # The rounded noisy sine has plateaus and signed zeros; at n=131072
+    # segments span several batches.
+    for seed in range(1, 11):
+        series = generate_synthetic(kind.removesuffix("_rounded"), n, seed)
+        if kind.endswith("_rounded"):
+            series = TimeSeries(np.round(series.values))
+        value_range = float(np.ptp(series.values))
+        d = diagram_of(series)
+        pairs = d.pairs
+        for policy in (Fraction(0.5), Threshold(0.25 * value_range)):
+            anchors = simplify_anchors(n, pairs, d.essential_min_index, policy)
+            expected = refit_segments(series.values, anchors)
+            assert _bits(simplify(series, policy).values) == _bits(expected), (seed, policy)
+
+
+def test_clip_keeps_a_sample_equal_to_its_bound():
+    # Removing the pair of 1 and 2 leaves one rising segment from 0.0 to 3
+    # whose fit keeps the -0.0 at index 1: it equals the lower bound 0.0
+    # and is not below it, as a scalar clip decides.
+    values = [0.0, -0.0, 2.0, 1.0, 3.0]
+    out = simplify(TimeSeries(values), Threshold(2.0))
+    assert _bits(out.values) == _bits([0.0, -0.0, 1.5, 1.5, 3.0])
+    assert _bits(out.values) == _bits(_per_segment(values, Threshold(2.0)))
+
+
+signed_zero_plateaus = st.lists(
+    st.tuples(st.sampled_from([-0.0, 0.0, -1.0, 1.0, 2.0]), st.integers(1, 3)),
+    min_size=2,
+    max_size=16,
+).map(lambda runs: [v for v, k in runs for _ in range(k)])
+
+
+@settings(max_examples=300)
+@given(signed_zero_plateaus, st.booleans(), st.floats(0.0, 1.0, allow_nan=False))
+def test_signed_zero_anchors_and_plateaus(values, by_threshold, q):
+    policy = Threshold(3.5 * q) if by_threshold else Fraction(q)
+    expected = _per_segment(values, policy)
+    assert _bits(simplify(TimeSeries(values), policy).values) == _bits(expected)
+
+
+def _batches(monkeypatch, limit):
+    """Set the batch size to ``limit`` samples and record each batch's segments."""
+    batches = []
+    refit = simplify_module._refit
+
+    def recording(values, left, right, out):
+        batches.append(list(zip(left.tolist(), right.tolist())))
+        refit(values, left, right, out)
+
+    monkeypatch.setattr(simplify_module, "_PAV_SAMPLES", limit)
+    monkeypatch.setattr(simplify_module, "_refit", recording)
+    return batches
+
+
+def test_length_two_segments():
+    # Threshold 2 keeps only the pair (1, 2): anchors 0, 1, 2, 5 (the
+    # essential minimum) and 10, so two length-2 segments sit beside two
+    # longer ones that the three smaller pairs leave to be refitted.
+    values = [4.0, 0.0, 3.0, 1.0, 2.0, -1.0, 5.0, 4.0, 4.5, 3.9, 6.0]
+    policy = Threshold(2.0)
+    d = diagram_of(values)
+    anchors = simplify_anchors(len(values), d.pairs, d.essential_min_index, policy)
+    assert anchors == [0, 1, 2, 5, 10]
+    out = simplify(TimeSeries(values), policy)
+    assert _bits(out.values) == _bits(refit_segments(values, anchors))
+
+
+def test_segment_longer_than_one_batch(monkeypatch):
+    rng = np.random.default_rng(5)
+    values = np.concatenate(([0.0], rng.normal(size=50), [10.0], rng.normal(size=5), [-5.0]))
+    policy = Fraction(1.0)
+    batches = _batches(monkeypatch, 8)
+    out = simplify(TimeSeries(values), policy)
+    assert any(b - a + 1 > 8 for batch in batches for a, b in batch)
+    assert all(len(batch) == 1 for batch in batches if batch[0][1] - batch[0][0] + 1 > 8)
+    assert _bits(out.values) == _bits(_per_segment(values, policy))
+
+
+@pytest.mark.parametrize("limit", [2, 3, 5, 8, 13])
+def test_batch_boundaries_between_segments_sharing_an_anchor(monkeypatch, limit):
+    rng = np.random.default_rng(limit)
+    values = rng.normal(size=200)
+    policy = Fraction(0.7)
+    batches = _batches(monkeypatch, limit)
+    out = simplify(TimeSeries(values), policy)
+    # Some batch starts at the anchor where the previous batch ends.
+    assert any(b[0][0] == a[-1][1] for a, b in zip(batches, batches[1:]))
+    assert all(sum(b - a + 1 for a, b in batch) <= limit for batch in batches if len(batch) > 1)
+    assert _bits(out.values) == _bits(_per_segment(values, policy))
+
+
+def test_simplify_refits_through_the_module_global(monkeypatch):
+    # The benchmark's tracer wraps isotonic_fit to count the refitted samples.
+    calls = []
+    original = simplify_module.isotonic_fit
+
+    def counted(values, **kwargs):
+        calls.append((len(values), sorted(kwargs)))
+        return original(values, **kwargs)
+
+    monkeypatch.setattr(simplify_module, "isotonic_fit", counted)
+    simplify(TimeSeries([1, 5, 2, 4, 0, 3]), Threshold(2.5))
+    # One batch of the segment 1 .. 4, refitted by keyword starts.
+    assert calls == [(4, ["starts"])]
