@@ -1,7 +1,7 @@
 """Per-stage timings of the package before and after a change, in BENCH_stages.json.
 
     python3 scripts/bench_stages.py --before OTHER_CHECKOUT/src \
-        --before-label TEXT --after-label TEXT [--runs 5]
+        --before-label TEXT --after-label TEXT
 
 At n = 1024, 4096 and 16384, on a seed-7 random walk and on the same walk
 heavily smoothed (``simplify`` with ``Fraction(0.95)``, which leaves long
@@ -22,8 +22,8 @@ n=1024.
 
 A run is one fresh process that imports the package from one side's
 ``src`` and times every stage as the median of ``REPEATS`` calls, with
-BLAS pinned to one thread. The script makes ``--runs`` rounds of one run
-a side, alternating which side goes first, so load from other processes
+BLAS pinned to one thread. The script makes ``RUNS`` rounds of one run a
+side, alternating which side goes first, so load from other processes
 falls on both sides alike. Each side records, per stage, the median of its run times
 with the quartiles beside it and a value (a float hex string or a sha256
 of the output), which must be the same in every run. The comparison says
@@ -50,6 +50,7 @@ from time import perf_counter  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (1024, 4096, 16384)
 REPEATS = 3
+RUNS = 7
 
 
 def median_time(call) -> tuple[float, object]:
@@ -175,7 +176,6 @@ def main() -> int:
     parser.add_argument("--after", type=Path, default=ROOT / "src")
     parser.add_argument("--before-label", type=str, default=None, help="what --before is")
     parser.add_argument("--after-label", type=str, default=None, help="what --after is")
-    parser.add_argument("--runs", type=int, default=5, help="alternating runs a side")
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_stages.json")
     parser.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -185,18 +185,16 @@ def main() -> int:
         return 0
     if args.before is None:
         parser.error("--before is required")
-    if args.runs < 2:
-        parser.error("--runs must be at least 2 for quartiles")
 
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     runs = {side: [] for side in sides}
-    for index in range(args.runs):
+    for index in range(RUNS):
         # Alternate which side goes first, so neither always follows the other.
         for side in sorted(sides, reverse=index % 2 == 1):
-            print(f"run {index + 1}/{args.runs}, {side}", file=sys.stderr)
+            print(f"run {index + 1}/{RUNS}, {side}", file=sys.stderr)
             runs[side].append(one_run(sides[side]))
     labels = {"before": args.before_label, "after": args.after_label}
-    bench = {"environment": environment(), "runs": args.runs}
+    bench = {"environment": environment(), "runs": RUNS}
     for side in sides:
         bench[side] = {"label": labels[side], "stages": summarise(runs[side])}
     before, after = bench["before"]["stages"], bench["after"]["stages"]

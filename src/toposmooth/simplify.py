@@ -132,16 +132,17 @@ def isotonic_fit(values, *, starts=None) -> np.ndarray:
     return np.repeat(means, weights)
 
 
-def _refit(values: np.ndarray, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the monotone fit of each segment ``left[k]..right[k]``.
+def _refit(
+    values: np.ndarray, left: np.ndarray, length: np.ndarray, starts: np.ndarray, out: np.ndarray
+) -> None:
+    """Write into ``out`` the monotone fit of each segment, all in one pass.
 
-    The segments are concatenated and fitted in one pass; a falling segment
-    is the negated non-decreasing fit of its negation (negation is exact).
+    Segment k is the ``length[k]`` samples from ``left[k]`` and begins at
+    ``starts[k]`` in the segments' concatenation. A falling segment is the
+    negated non-decreasing fit of its negation (negation is exact).
     """
-    length = right - left + 1
-    starts = np.cumsum(length) - length
     index = np.arange(int(length.sum())) + np.repeat(left - starts, length)
-    lo, hi = values[left], values[right]
+    lo, hi = values[left], values[left + length - 1]
     sign = np.repeat(np.where(lo <= hi, 1.0, -1.0), length)
     fitted = sign * isotonic_fit(sign * values[index], starts=starts)
     # Clip into the anchors' interval with the bounds in the order Python's
@@ -179,16 +180,17 @@ def simplify(series: TimeSeries, policy: SimplifyPolicy) -> TimeSeries:
     against = np.where(
         values[left] <= values[right], falls[right] - falls[left], rises[right] - rises[left]
     )
-    left, right = left[against > 0], right[against > 0]
+    left, length = left[against > 0], (right - left + 1)[against > 0]
     out = np.array(values, dtype=np.float64)
     # Refit whole segments, at most _PAV_SAMPLES samples a batch (a longer
-    # segment is a batch of its own).
-    ends_at = np.cumsum(right - left + 1)
-    begins_at = ends_at - (right - left + 1)
+    # segment is a batch of its own), each at its offset in the
+    # concatenation of its batch.
+    ends_at = np.cumsum(length)
+    starts = ends_at - length
     first = 0
     while first < len(left):
-        stop = int(np.searchsorted(ends_at, begins_at[first] + _PAV_SAMPLES, "right"))
-        stop = max(stop, first + 1)
-        _refit(values, left[first:stop], right[first:stop], out)
-        first = stop
+        stop = int(np.searchsorted(ends_at, starts[first] + _PAV_SAMPLES, "right"))
+        batch = slice(first, max(stop, first + 1))
+        _refit(values, left[batch], length[batch], starts[batch] - starts[first], out)
+        first = batch.stop
     return series.with_values(out)

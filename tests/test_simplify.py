@@ -333,9 +333,9 @@ def _batches(monkeypatch, limit):
     batches = []
     refit = simplify_module._refit
 
-    def recording(values, left, right, out):
-        batches.append(list(zip(left.tolist(), right.tolist())))
-        refit(values, left, right, out)
+    def recording(values, left, length, starts, out):
+        batches.append(list(zip(left.tolist(), (left + length - 1).tolist())))
+        refit(values, left, length, starts, out)
 
     monkeypatch.setattr(simplify_module, "_PAV_SAMPLES", limit)
     monkeypatch.setattr(simplify_module, "_refit", recording)
