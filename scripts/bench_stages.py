@@ -14,7 +14,10 @@ plateaus and few pairs), times:
 - ``simplify`` of the walk with ``Fraction(0.5)``;
 - ``douglas_peucker_indices`` of the walk with epsilon = 0.01 times its
   value range;
-- ``wasserstein1`` and ``bottleneck`` between the two series' diagrams.
+- ``wasserstein1`` and ``bottleneck`` between the two series' diagrams;
+- ``bottleneck`` between the diagrams of the walk and of its stride-6
+  ``uniform_subsample``, a pair whose count bound falls short, so the
+  binary search over candidate costs runs at every size.
 
 Then ``simplify`` with ``Fraction(0.5)`` of the seed-7 noisy sine at
 n=131072, and one ``evaluate_series`` of the seed-7 spike train at
@@ -88,15 +91,16 @@ def measure() -> dict:
         evaluate_series,
         generate_synthetic,
         simplify,
+        uniform_subsample,
         wasserstein1,
     )
     from toposmooth.filters import douglas_peucker_indices
     from toposmooth.series import sample_std
 
     def pairs_key(diagram):
-        pairs = [(p.birth_index, p.death_index, p.birth_value.hex(), p.death_value.hex())
-                 for p in diagram.pairs]
-        return digest((pairs, diagram.essential_min_index))
+        indices = (diagram.birth_index.tolist(), diagram.death_index.tolist())
+        values = (map(float.hex, c.tolist()) for c in (diagram.birth_value, diagram.death_value))
+        return digest((list(zip(*indices, *values)), diagram.essential_min_index))
 
     def values_key(series):
         return digest(np.ascontiguousarray(series.values, dtype="<f8").tobytes())
@@ -124,6 +128,9 @@ def measure() -> dict:
         target = diagram_of(smoothed)
         for name, distance in (("wasserstein1", wasserstein1), ("bottleneck", bottleneck)):
             stage(f"{name}/walk_vs_smoothed/n{n}", lambda: distance(original, target), float.hex)
+        subsampled = diagram_of(uniform_subsample(walk, 6))
+        stage(f"bottleneck/walk_vs_subsample6/n{n}",
+              lambda: bottleneck(original, subsampled), float.hex)
     sine = generate_synthetic("noisy_sine", 131072, 7)
     stage("simplify/noisy_sine/n131072", lambda: simplify(sine, Fraction(0.5)), values_key)
     spikes = generate_synthetic("spike_train", 1024, 7)

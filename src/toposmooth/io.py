@@ -23,7 +23,9 @@ def load_csv(source) -> TimeSeries:
 
     Lines starting with ``#`` and blank lines are skipped; one leading
     header line is tolerated. Raises ``ValueError`` naming the offending
-    line for unparseable numbers, non-increasing x, or fewer than 2 rows.
+    line for an unparseable number or more than 2 columns, and for mixed
+    1- and 2-column rows; rows that make an invalid series are refused by
+    the ``TimeSeries`` constructor.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -57,17 +59,9 @@ def load_csv(source) -> TimeSeries:
             values.append(row[1])
         else:
             values.append(row[0])
-    if len(values) < 2:
-        raise ValueError(f"need at least 2 data rows, got {len(values)}")
     if positions and len(positions) != len(values):
         raise ValueError("mixed 1-column and 2-column rows")
-    if positions:
-        deltas = np.diff(positions)
-        if np.any(deltas <= 0):
-            bad = int(np.flatnonzero(deltas <= 0)[0]) + 1
-            raise ValueError(f"x values not strictly increasing at data row {bad + 1}")
-        return TimeSeries(values, positions, label=str(label))
-    return TimeSeries(values, label=str(label))
+    return TimeSeries(values, positions or None, label=str(label))
 
 
 def fmt(x: float) -> str:
@@ -86,12 +80,11 @@ def write_series_csv(path, series: TimeSeries) -> None:
 
 
 def write_pairs_csv(path, diagram: PersistenceDiagram) -> None:
+    columns = (diagram.birth_index, diagram.death_index, diagram.birth_value,
+               diagram.death_value, diagram.persistence)
     lines = ["birth_index,death_index,birth,death,persistence"]
-    for p in diagram.pairs:
-        lines.append(
-            f"{p.birth_index},{p.death_index},{fmt(p.birth_value)},"
-            f"{fmt(p.death_value)},{fmt(p.persistence)}"
-        )
+    for birth_index, death_index, *floats in zip(*(c.tolist() for c in columns)):
+        lines.append(",".join([str(birth_index), str(death_index), *map(fmt, floats)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -150,6 +143,8 @@ _W, _H, _M = 720, 400, 48
 
 def _scale(values, lo, hi, out_lo, out_hi):
     span = hi - lo if hi > lo else 1.0
+    if span == np.inf:  # finite ends more than the float range apart
+        values, lo, span = [v / 2 for v in values], lo / 2, hi / 2 - lo / 2
     return [(v - lo) / span * (out_hi - out_lo) + out_lo for v in values]
 
 

@@ -32,9 +32,7 @@ _BLOCK_CELLS = 2**18
 
 
 def _values(x) -> np.ndarray:
-    if isinstance(x, TimeSeries):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
+    return (x if isinstance(x, TimeSeries) else TimeSeries(x)).values
 
 
 def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
@@ -53,8 +51,6 @@ def norm_linf(a, b) -> float:
     """Largest absolute pointwise difference."""
     va, vb = _values(a), _values(b)
     _check_lengths(va, vb)
-    if len(va) == 0:
-        return 0.0
     return float(np.max(np.abs(va - vb)))
 
 
@@ -216,9 +212,6 @@ def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
     the dense definition, so the result is bit-identical to it.
     """
     x = _values(series)
-    bad = np.flatnonzero(~np.isfinite(x))
-    if len(bad):
-        raise ValueError(f"non-finite sample {float(x[bad[0]])} at index {int(bad[0])}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if r is None:

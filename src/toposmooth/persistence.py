@@ -58,7 +58,8 @@ class PersistenceDiagram:
 
     @property
     def persistence(self) -> np.ndarray:
-        return self.death_value - self.birth_value
+        with np.errstate(over="ignore"):  # +inf past the float range, as in diagram_of
+            return self.death_value - self.birth_value
 
     @cached_property
     def pairs(self) -> tuple[ExtremaPair, ...]:
@@ -110,17 +111,17 @@ def diagram_of(values) -> PersistenceDiagram:
     A constant series has no finite pairs; its single plateau is the
     essential record.
     """
-    if isinstance(values, TimeSeries):
-        series = values
-    else:
-        series = TimeSeries(np.asarray(values, dtype=np.float64))
+    series = values if isinstance(values, TimeSeries) else TimeSeries(values)
     extrema = classify_extrema(series)
     values = series.values
     maxima, dying = _sweep(values[extrema.index], extrema.is_min)
     birth = extrema.index[np.array(dying, dtype=np.intp)]
     death = extrema.index[np.array(maxima, dtype=np.intp)]
     birth_value, death_value = values[birth], values[death]
-    order = np.lexsort((birth, death_value - birth_value))
+    # Finite values more than the float range apart have persistence +inf,
+    # which is the intended value, so numpy need not warn about it.
+    with np.errstate(over="ignore"):
+        order = np.lexsort((birth, death_value - birth_value))
     # The first global minimum starts its run, so it is the collapsed index.
     return PersistenceDiagram(
         birth[order], death[order], birth_value[order], death_value[order], int(np.argmin(values))

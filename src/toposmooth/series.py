@@ -27,8 +27,8 @@ class TimeSeries:
     """A finite ordered sequence of real sample values.
 
     Every instance is valid: the constructor raises ``ValueError`` unless
-    there are at least two values, all finite, and any positions are finite,
-    one per value and strictly increasing.
+    the values are 1-D, at least two and all finite, and any positions are
+    1-D, finite, one per value and strictly increasing.
 
     Attributes
     ----------
@@ -81,15 +81,17 @@ class Extrema:
         return len(self.index)
 
 
-def _violations(series: TimeSeries) -> list[tuple[Sequence[int], Callable[[int], str]]]:
+def _violations(series: TimeSeries) -> list[tuple[Sequence, Callable[..., str]]]:
     """Each kind of invariant violation as (its items, the message of one item).
 
     Kinds come in report order and items in index order, so the violations
     can be counted from the items and their messages formatted on demand.
     """
     values = series.values
+    if values.ndim != 1:
+        return [([values.shape], lambda shape: f"values shape {shape} is not 1-D")]
     n = len(values)
-    groups: list[tuple[Sequence[int], Callable[[int], str]]] = [
+    groups: list[tuple[Sequence, Callable[..., str]]] = [
         ([n] if n < 2 else [], lambda k: f"length {k} < 2"),
         (
             np.flatnonzero(~np.isfinite(values)),
@@ -98,6 +100,9 @@ def _violations(series: TimeSeries) -> list[tuple[Sequence[int], Callable[[int],
     ]
     if series.positions is not None:
         pos = series.positions
+        if pos.ndim != 1:
+            groups.append(([pos.shape], lambda shape: f"positions shape {shape} is not 1-D"))
+            return groups
         groups.append(
             (
                 [len(pos)] if len(pos) != n else [],
@@ -109,7 +114,7 @@ def _violations(series: TimeSeries) -> list[tuple[Sequence[int], Callable[[int],
         if len(pos) >= 2 and not len(bad_pos):
             groups.append(
                 (
-                    np.flatnonzero(np.diff(pos) <= 0) + 1,
+                    np.flatnonzero(pos[1:] <= pos[:-1]) + 1,
                     lambda i: f"positions not strictly increasing at index {int(i)}",
                 )
             )
@@ -131,7 +136,8 @@ def require_valid(series: TimeSeries) -> None:
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Start indices of the maximal runs of equal values."""
-    return np.concatenate(([0], np.flatnonzero(np.diff(values) != 0) + 1))
+    # Comparing neighbours, unlike subtracting them, cannot overflow.
+    return np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1))
 
 
 def classify_extrema(series: TimeSeries) -> Extrema:
@@ -152,7 +158,8 @@ def classify_extrema(series: TimeSeries) -> Extrema:
         # A run is an extremum where the direction changes across it; each
         # boundary run counts as a change. It is a minimum iff the series
         # rises after it.
-        rising = np.diff(values[starts]) > 0  # run j -> j+1 strictly rises or falls
+        run_values = values[starts]
+        rising = run_values[1:] > run_values[:-1]  # run j -> j+1 strictly rises or falls
         before = np.concatenate(([not rising[0]], rising))
         after = np.concatenate((rising, [not rising[-1]]))
         runs = np.flatnonzero(before != after)
@@ -161,9 +168,7 @@ def classify_extrema(series: TimeSeries) -> Extrema:
 
 
 def sample_std(values: np.ndarray) -> float:
-    """Sample standard deviation (ddof=1) used for entropy tolerances."""
-    if len(values) < 2:
-        return 0.0
+    """Sample standard deviation (ddof=1) of a valid series' values."""
     # Finite values near the float limit overflow the sum (to a NaN
     # deviation) or the squared deviations (to inf). That is refused here,
     # in one error, and numpy need not warn first.

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toposmooth import TimeSeries, generate_synthetic, load_csv
+from toposmooth import TimeSeries, diagram_of, generate_synthetic, load_csv
 from toposmooth.cli import CLI_METHODS, main
 from toposmooth.io import (
     canonical_json,
     fmt,
     svg_line_chart,
     svg_metric_scatter,
+    write_pairs_csv,
     write_series_csv,
 )
 from toposmooth.synth import SPIKE_COUNT
@@ -56,8 +57,9 @@ class TestLoadCsv:
     def test_too_few_rows(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("1\n")
-        with pytest.raises(ValueError, match="2 data rows"):
+        with pytest.raises(ValueError) as info:
             load_csv(p)
+        assert str(info.value) == "invalid series: length 1 < 2"
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -74,6 +76,36 @@ class TestLoadCsv:
         again = load_csv(p)
         assert np.array_equal(again.values, series.values)
         assert np.array_equal(again.positions, series.positions)
+
+
+# Finite samples more than the float range apart: a persistence of inf.
+WIDER_THAN_FLOATS = "1e308\n-1e308\n1e308\n0\n5\n-1e308\n"
+
+
+def _pairs_series(name):
+    if name == "wider_than_floats":
+        return TimeSeries([float(v) for v in WIDER_THAN_FLOATS.split()])
+    if name == "rounded_noisy_sine":
+        return TimeSeries(np.round(generate_synthetic("noisy_sine", 512, 7).values))
+    return generate_synthetic(name, 512, 7)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["spike_train", "noisy_sine", "random_walk", "rounded_noisy_sine", "wider_than_floats"],
+)
+def test_pairs_csv_is_the_pairs_one_per_line(tmp_path, name):
+    diagram = diagram_of(_pairs_series(name))
+    path = tmp_path / "pairs.csv"
+    write_pairs_csv(path, diagram)
+    expected = ["birth_index,death_index,birth,death,persistence"] + [
+        f"{p.birth_index},{p.death_index},{fmt(p.birth_value)},"
+        f"{fmt(p.death_value)},{fmt(p.persistence)}"
+        for p in diagram.pairs
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    if name == "wider_than_floats":
+        assert expected[-1] == "5,2,-1e+308,1e+308,inf"
 
 
 def test_fmt_round_trips():
@@ -331,6 +363,18 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert captured.out == ""
         assert not out_dir.exists()
+
+    def test_series_wider_than_floats_runs_without_warnings(self, tmp_path, capsys):
+        # pyproject.toml turns warnings into errors, so an overflow warning fails here.
+        data = tmp_path / "data.csv"
+        data.write_text(WIDER_THAN_FLOATS)
+        pairs, out, svg = (tmp_path / name for name in ("pairs.csv", "out.csv", "out.svg"))
+        assert main(["persistence", "--input", str(data), "--output", str(pairs)]) == 0
+        assert main(["smooth", "--input", str(data), "--method", "topological",
+                     "--param", "0.5", "--output", str(out), "--svg", str(svg)]) == 0
+        assert capsys.readouterr().err == ""
+        chart = svg.read_text()
+        assert "<polyline" in chart and "nan" not in chart
 
     @pytest.mark.parametrize("command", ["evaluate", "entropy"])
     def test_overflowing_deviation_is_one_error_line(self, tmp_path, capsys, command):

@@ -370,5 +370,33 @@ class TestApproxEntropy:
     @pytest.mark.parametrize("r", [0.5, None])
     def test_rejects_non_finite_sample(self, r):
         values = [1.0, 2.0, 3.0, np.nan, 5.0, np.inf, 7.0]
-        with pytest.raises(ValueError, match="non-finite sample nan at index 3"):
+        with pytest.raises(ValueError) as info:
             approx_entropy(values, m=2, r=r)
+        assert str(info.value) == (
+            "invalid series: non-finite value nan at index 3; non-finite value inf at index 5"
+        )
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda x: norm_l1(x, x),
+        lambda x: norm_linf(x, x),
+        lambda x: approx_entropy(x, m=2, r=0.5),
+        diagram_of,
+    ],
+    ids=["norm_l1", "norm_linf", "approx_entropy", "diagram_of"],
+)
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ([1.0, np.nan, 3.0, 4.0], "non-finite value nan at index 1"),
+        ([1.0], "length 1 < 2"),
+        (np.zeros((4, 2)), "values shape (4, 2) is not 1-D"),
+    ],
+    ids=["nan", "length_1", "2d"],
+)
+def test_raw_input_is_checked_as_a_series(measure, values, message):
+    with pytest.raises(ValueError) as info:
+        measure(values)
+    assert str(info.value) == f"invalid series: {message}"

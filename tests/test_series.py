@@ -91,6 +91,9 @@ def test_classify_alternates_and_flags_boundaries(values):
         ),
         ([1, 2, 3], [0, 1], "positions count 2 != values count 3"),
         ([1, 2, 3], [0, np.inf, 2], "non-finite position at index 1"),
+        (np.zeros((3, 2)), None, "values shape (3, 2) is not 1-D"),
+        (np.zeros((3, 2)), [0, 1, 2], "values shape (3, 2) is not 1-D"),
+        ([1, 2, 3], np.zeros((3, 1)), "positions shape (3, 1) is not 1-D"),
         (
             [1, 2, 3],
             [5, 5, 4],
