@@ -21,7 +21,13 @@ plateaus and few pairs), times:
 
 Then ``simplify`` with ``Fraction(0.5)`` of the seed-7 noisy sine at
 n=131072, and one ``evaluate_series`` of the seed-7 spike train at
-n=1024.
+n=1024. Last, two start-up times, each a fresh ``python -c`` process that
+imports the package from the same ``src``:
+
+- ``startup/import`` runs ``import toposmooth``;
+- ``startup/cli_smooth/n4096`` runs the CLI's ``main`` on ``smooth
+  --method topological --param 0.5`` of the seed-7 noisy sine at n=4096,
+  read from and written to CSV.
 
 A run is one fresh process that imports the package from one side's
 ``src`` and times every stage as the median of ``REPEATS`` calls, with
@@ -47,6 +53,7 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -79,7 +86,7 @@ def digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-def measure() -> dict:
+def measure(src: Path) -> dict:
     """One run: every stage's median time and value, in this process."""
     import numpy as np
 
@@ -93,6 +100,7 @@ def measure() -> dict:
         simplify,
         uniform_subsample,
         wasserstein1,
+        write_series_csv,
     )
     from toposmooth.filters import douglas_peucker_indices
     from toposmooth.series import sample_std
@@ -136,6 +144,21 @@ def measure() -> dict:
     spikes = generate_synthetic("spike_train", 1024, 7)
     seconds, _ = median_time(lambda: evaluate_series(spikes))
     stages["evaluate_series/spike_train/n1024"] = {"s": round(seconds, 3)}
+
+    def fresh(code):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    seconds, _ = median_time(lambda: fresh("import toposmooth"))
+    stages["startup/import"] = {"s": round(seconds, 3)}
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "noisy_sine.csv", Path(tmp) / "smoothed.csv"
+        write_series_csv(data, generate_synthetic("noisy_sine", 4096, 7))
+        argv = ["smooth", "--input", str(data), "--method", "topological",
+                "--param", "0.5", "--output", str(out)]
+        code = f"from toposmooth.cli import main; raise SystemExit(main({argv!r}))"
+        seconds, _ = median_time(lambda: fresh(code))
+    stages["startup/cli_smooth/n4096"] = {"s": round(seconds, 3)}
     return stages
 
 
@@ -188,7 +211,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.measure is not None:
         sys.path.insert(0, str(args.measure.resolve()))
-        json.dump(measure(), sys.stdout)
+        json.dump(measure(args.measure.resolve()), sys.stdout)
         return 0
     if args.before is None:
         parser.error("--before is required")

@@ -13,7 +13,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .evaluate import DEFAULT_METHODS, METHODS, METRIC_NAMES, evaluate_series
+from .evaluate import (
+    DEFAULT_METHODS,
+    METHODS,
+    METRIC_NAMES,
+    entropy_tolerance,
+    evaluate_series,
+)
 from .io import (
     load_csv,
     svg_line_chart,
@@ -25,7 +31,7 @@ from .io import (
 )
 from .metrics import approx_entropy
 from .persistence import diagram_of
-from .series import TimeSeries, sample_std
+from .series import TimeSeries
 from .synth import KINDS, generate_synthetic
 
 CLI_KINDS = tuple(k.replace("_", "-") for k in KINDS)
@@ -134,7 +140,7 @@ def _cmd_persistence(args) -> int:
 
 def _cmd_entropy(args) -> int:
     series = load_csv(args.input)
-    r = args.r_factor * sample_std(series.values)
+    r = entropy_tolerance(series, args.r_factor)
     print(repr(approx_entropy(series, m=args.m, r=r)))
     return 0
 

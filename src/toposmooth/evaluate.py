@@ -279,6 +279,14 @@ class EvaluationResult:
     failures: tuple[str, ...]
 
 
+def entropy_tolerance(series: TimeSeries, r_factor: float) -> float:
+    """ApEn's tolerance r: ``r_factor`` times the sample standard deviation."""
+    std = sample_std(series.values)
+    if std == 0:
+        raise EvaluationError("series is constant; entropy calibration undefined")
+    return r_factor * std
+
+
 def evaluate_series(
     series: TimeSeries,
     m: int = 2,
@@ -288,10 +296,7 @@ def evaluate_series(
 
     Sweeps every method of ``DEFAULT_METHODS`` over its default grid.
     """
-    std = sample_std(series.values)
-    if std == 0:
-        raise EvaluationError("series is constant; entropy calibration undefined")
-    r = r_factor * std
+    r = entropy_tolerance(series, r_factor)
     value_range = float(np.max(series.values) - np.min(series.values))
     grids = default_grids(len(series), value_range)
     methods = sorted(DEFAULT_METHODS)

@@ -18,9 +18,6 @@ feasible iff each side's forced points can be matched within t.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .series import TimeSeries, sample_std
 
@@ -35,23 +32,24 @@ def _values(x) -> np.ndarray:
     return (x if isinstance(x, TimeSeries) else TimeSeries(x)).values
 
 
-def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+def _pointwise_gap(a, b, reduce) -> float:
+    va, vb = _values(a), _values(b)
+    if len(va) != len(vb):
+        raise ValueError(f"length mismatch: {len(va)} vs {len(vb)}")
+    # Finite samples more than the float range apart differ by inf, which is
+    # the float answer; numpy need not warn.
+    with np.errstate(over="ignore"):
+        return float(reduce(np.abs(va - vb)))
 
 
 def norm_l1(a, b) -> float:
     """Sum of absolute pointwise differences."""
-    va, vb = _values(a), _values(b)
-    _check_lengths(va, vb)
-    return float(np.sum(np.abs(va - vb)))
+    return _pointwise_gap(a, b, np.sum)
 
 
 def norm_linf(a, b) -> float:
     """Largest absolute pointwise difference."""
-    va, vb = _values(a), _values(b)
-    _check_lengths(va, vb)
-    return float(np.max(np.abs(va - vb)))
+    return _pointwise_gap(a, b, np.max)
 
 
 def _points(diagram) -> np.ndarray:
@@ -72,21 +70,36 @@ def wasserstein1(c, c_prime) -> float:
     augmented cost matrix; a point left unmatched takes its own diagonal
     slot at a cost equal to its persistence, and diagonal slots pair
     freely.
+
+    Costs between finite values more than the float range apart overflow
+    to inf. If every matching needs one, the solver finds the problem
+    infeasible (inf marks a forbidden cell) and the float answer is inf.
     """
+    # scipy is imported here and in _covers_rows only, on first call, so
+    # that smoothing, persistence and entropy never load it.
+    from scipy.optimize import linear_sum_assignment
+
     a, b = _points(c), _points(c_prime)
     m, n = len(a), len(b)
     cost = np.full((m + n, m + n), np.inf)
-    # Adding the two gaps gives the floats of a sum over a length-2 axis, faster.
-    cost[:m, :n] = np.abs(a[:, None, 0] - b[None, :, 0]) + np.abs(a[:, None, 1] - b[None, :, 1])
-    cost[:m, n:][np.diag_indices(m)] = a[:, 1] - a[:, 0]
-    cost[m:, :n][np.diag_indices(n)] = b[:, 1] - b[:, 0]
-    cost[m:, n:] = 0.0
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+    with np.errstate(over="ignore"):
+        # Adding the two gaps gives the floats of a sum over a length-2 axis, faster.
+        cost[:m, :n] = np.abs(a[:, None, 0] - b[None, :, 0]) + np.abs(a[:, None, 1] - b[None, :, 1])
+        cost[:m, n:][np.diag_indices(m)] = a[:, 1] - a[:, 0]
+        cost[m:, :n][np.diag_indices(n)] = b[:, 1] - b[:, 0]
+        cost[m:, n:] = 0.0
+        try:
+            rows, cols = linear_sum_assignment(cost)
+        except ValueError:  # "cost matrix is infeasible"
+            return float("inf")
+        return float(cost[rows, cols].sum())
 
 
 def _covers_rows(adjacent: np.ndarray) -> bool:
     """Does the bipartite graph given by ``adjacent`` match every row?"""
+    from scipy.sparse import csr_matrix  # see wasserstein1
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     # Flat indices in increasing order list the edges row by row, which is
     # CSR order; 2-D np.nonzero gives the same pairs about 4x slower.
     rows, cols = np.divmod(np.flatnonzero(adjacent), adjacent.shape[1])
@@ -117,11 +130,15 @@ def bottleneck(c, c_prime) -> float:
     before any candidate list is built; the search then runs only above it.
     """
     a, b = _points(c), _points(c_prime)
-    cross = np.maximum(
-        np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
-    )
-    half_a = (a[:, 1] - a[:, 0]) / 2.0
-    half_b = (b[:, 1] - b[:, 0]) / 2.0
+    # A cross cost between values more than the float range apart is inf,
+    # which no candidate reaches; halving before subtracting keeps every
+    # half-persistence finite.
+    with np.errstate(over="ignore"):
+        cross = np.maximum(
+            np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
+        )
+    half_a = a[:, 1] / 2.0 - a[:, 0] / 2.0
+    half_b = b[:, 1] / 2.0 - b[:, 0] / 2.0
     bound = max(
         np.minimum(half_a, cross.min(axis=1, initial=np.inf)).max(initial=-np.inf),
         np.minimum(half_b, cross.min(axis=0, initial=np.inf)).max(initial=-np.inf),

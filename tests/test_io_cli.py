@@ -388,6 +388,20 @@ class TestCli:
         assert err == ["error: sample standard deviation overflowed (values too large for float64)"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "entropy"])
+    def test_constant_series_is_one_error_line(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        data.write_text("3\n3\n3\n3\n")
+        out_dir = tmp_path / "results"
+        extra = ["--out-dir", str(out_dir)] if command == "evaluate" else []
+        assert main([command, "--input", str(data), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: series is constant; entropy calibration undefined"
+        ]
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_config_value_checked_like_a_flag(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("1\n2\n3\n")

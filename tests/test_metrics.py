@@ -9,6 +9,7 @@ from oracles import apen_dense, apen_direct, exhaustive_bottleneck, exhaustive_w
 
 import toposmooth
 from toposmooth import (
+    Fraction,
     Threshold,
     TimeSeries,
     approx_entropy,
@@ -127,6 +128,31 @@ class TestDiagramDistances:
         d2 = diagram_of([0, 5, 1, 4, 0])
         assert wasserstein1(d1, d2) == 0.0
         assert bottleneck(d1, d2) == 0.0
+
+    # pyproject.toml turns warnings into errors, so an overflow warning fails
+    # the tests below.
+    def test_half_persistence_wider_than_floats_stays_finite(self):
+        assert bottleneck([(-1e308, 1e308)], []) == 1e308
+        assert bottleneck([(-1e308, 1e308)], [(0.0, 1.0)]) == 1e308
+
+    def test_overflowed_cost_on_every_matching_is_inf(self):
+        # The point's diagonal cost and its cost to (0, 1) both overflow.
+        assert wasserstein1([(-1e308, 1e308)], [(0.0, 1.0)]) == np.inf
+        # Finite costs whose total overflows.
+        assert wasserstein1([(0.0, 1e308), (0.0, 1e308)], []) == np.inf
+
+    def test_series_wider_than_floats_measures_without_warnings(self):
+        series = TimeSeries([1e308, -1e308, 1e308, 0.0, 5.0, -1e308])
+        smoothed = simplify(series, Fraction(0.5))
+        original, kept = diagram_of(series), diagram_of(smoothed)
+        # Both keep the pair (-1e308, 1e308); only (0, 5) goes to the diagonal.
+        assert wasserstein1(original, kept) == 5.0
+        assert bottleneck(original, kept) == 2.5
+        assert norm_l1(series, smoothed) == 5.0
+        assert norm_linf(series, smoothed) == 2.5
+        negated = TimeSeries(-series.values)
+        assert norm_l1(series, negated) == np.inf
+        assert norm_linf(series, negated) == np.inf
 
     @given(oracle_diagrams, oracle_diagrams)
     @settings(max_examples=150, deadline=None)
