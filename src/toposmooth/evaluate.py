@@ -13,6 +13,8 @@ rank of a method is the mean of its four per-measure ranks.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -149,6 +151,29 @@ def default_grids(n: int, value_range: float) -> dict[str, list[float]]:
     return {name: METHODS[name].grid(n, value_range) for name in DEFAULT_METHODS}
 
 
+# The W1 solver thread: (process id, single-worker executor), started by the
+# first sweep of a process and kept for its life. On a 2-CPU Xeon, perfbench
+# evaluate_n1024 peaked at 94-103 MB with a thread per sweep, against 94 MB
+# with this one and 90 MB without a thread: glibc gives each thread a malloc
+# arena that keeps several MB of freed W1 matrices, and a new thread that
+# starts before the last has exited gets a fresh arena. The process id
+# keeps a forked child, which has no copy of the thread, from submitting to it.
+_w1_solver = None
+_w1_solver_lock = threading.Lock()
+
+
+def _w1_executor():
+    global _w1_solver
+    # Imported here, like scipy in the metrics, so that a process that
+    # never sweeps does not load it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _w1_solver_lock:
+        if _w1_solver is None or _w1_solver[0] != os.getpid():
+            _w1_solver = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="toposmooth-w1"))
+        return _w1_solver[1]
+
+
 def sweep(
     series: TimeSeries,
     method: str,
@@ -161,37 +186,53 @@ def sweep(
     A parameter it cannot apply is recorded as a failure; a bad ``m`` or
     ``r`` raises. ``r`` is the entropy tolerance, fixed from the original
     series for the whole sweep so entropy values are comparable across
-    methods.
+    methods; it defaults to ``entropy_tolerance(series, 0.2)``.
+
+    Each point's W1 is solved on one background thread, shared by every
+    sweep of the process, while this one takes the point's other measures
+    and moves on to the next point; scipy's assignment solver releases the
+    GIL, so the two overlap. The values are those of calling the metrics
+    one after another.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if r is None:
-        r = 0.2 * sample_std(series.values)
+        r = entropy_tolerance(series, 0.2)
     apply = METHODS[method]
     original_diagram = diagram_of(series)
 
-    points: list[SweepPoint] = []
+    scored = []
     failures: list[str] = []
-    for param in grid:
-        try:
-            smoothed = apply(series, param)
-            smoothed_diagram = diagram_of(smoothed)
-        except (ValueError, ArithmeticError) as exc:
-            failures.append(f"{method} parameter {param!r}: {exc}")
-            continue
-        points.append(
-            SweepPoint(
-                method=method,
-                parameter=float(param),
-                entropy=approx_entropy(smoothed, m=m, r=r),
-                l1=norm_l1(series, smoothed),
-                linf=norm_linf(series, smoothed),
-                w1=wasserstein1(original_diagram, smoothed_diagram),
-                bottleneck=bottleneck(original_diagram, smoothed_diagram),
+    solver = _w1_executor()
+    try:
+        for param in grid:
+            try:
+                smoothed = apply(series, param)
+                smoothed_diagram = diagram_of(smoothed)
+            except (ValueError, ArithmeticError) as exc:
+                failures.append(f"{method} parameter {param!r}: {exc}")
+                continue
+            w1 = solver.submit(wasserstein1, original_diagram, smoothed_diagram)
+            scored.append(
+                (
+                    float(param),
+                    approx_entropy(smoothed, m=m, r=r),
+                    norm_l1(series, smoothed),
+                    norm_linf(series, smoothed),
+                    w1,
+                    bottleneck(original_diagram, smoothed_diagram),
+                )
             )
-        )
+        points = [
+            SweepPoint(method, param, entropy, l1, linf, w1.result(), bn)
+            for param, entropy, l1, linf, w1, bn in scored
+        ]
+    finally:
+        # After an error, this sweep's queued solves are not needed.
+        for *_, w1, _ in scored:
+            w1.cancel()
     return points, failures
 
 

@@ -215,8 +215,9 @@ def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
     ``phi(m)`` is the mean log-fraction of length-m templates within
     Chebyshev distance ``r`` of each template; the statistic is
     ``phi(m) - phi(m+1)``. ``r`` defaults to 0.2 times the sample standard
-    deviation of the input; when sweeping smoothing levels it should be
-    computed once from the original series and held fixed.
+    deviation of the input, and a constant input, which has no such r, is
+    refused; when sweeping smoothing levels it should be computed once
+    from the original series and held fixed.
 
     The match counts are exact integers from one relation between samples,
     R(p, q): ``|x_p - x_q| <= r``, the float test of the dense pairwise
@@ -232,7 +233,10 @@ def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if r is None:
-        r = 0.2 * sample_std(x)
+        std = sample_std(x)
+        if std == 0:
+            raise ValueError("series is constant; the default r (0.2 x sample std) is 0")
+        r = 0.2 * std
     if not (0 < r < np.inf):
         raise ValueError(f"r must be finite and > 0, got {r}")
     n = len(x)

@@ -1,3 +1,8 @@
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -5,13 +10,20 @@ from toposmooth import (
     EvaluationError,
     FitLine,
     TimeSeries,
+    approx_entropy,
     auc,
+    bottleneck,
+    diagram_of,
     evaluate_series,
     fit_line,
+    generate_synthetic,
+    norm_l1,
+    norm_linf,
     rank_methods,
     sweep,
+    wasserstein1,
 )
-from toposmooth.evaluate import METRIC_NAMES
+from toposmooth.evaluate import DEFAULT_METHODS, METHODS, METRIC_NAMES, SweepPoint, default_grids
 from toposmooth.io import canonical_json, report_to_dict
 
 
@@ -23,8 +35,6 @@ class TestSweep:
         assert failures == []
         (p,) = points
         assert p.l1 == p.linf == p.w1 == p.bottleneck == 0.0
-        from toposmooth import approx_entropy
-
         assert p.entropy == approx_entropy(series)
 
     def test_identity_subsample_all_metrics_zero(self):
@@ -52,14 +62,82 @@ class TestSweep:
         assert len(points) == 2
         assert len(failures) == 1 and "4" in failures[0]
 
+    def test_points_and_failures_keep_grid_order(self):
+        series = generate_synthetic("noisy_sine", 96, 5)
+        points, failures = sweep(series, "median", [7, 3.9, 3, 4, 5], r=0.3)
+        assert [p.parameter for p in points] == [7.0, 3.0, 5.0]
+        assert failures == [
+            "median parameter 3.9: median parameter must be an integer, got 3.9",
+            "median parameter 4: window must be an odd integer >= 1, got 4",
+        ]
+
+    @pytest.mark.parametrize("kind", ["spike_train", "noisy_sine", "random_walk"])
+    def test_equals_scoring_each_point_directly(self, kind):
+        # W1 is solved on a background thread; every value keeps its bits.
+        series = generate_synthetic(kind, 160, 3)
+        r = 0.2 * float(np.std(series.values, ddof=1))
+        grids = default_grids(len(series), float(np.ptp(series.values)))
+        original = diagram_of(series)
+        for method in DEFAULT_METHODS:
+            expected = []
+            for param in grids[method]:
+                smoothed = METHODS[method](series, param)
+                target = diagram_of(smoothed)
+                expected.append(
+                    SweepPoint(
+                        method,
+                        param,
+                        approx_entropy(smoothed, m=2, r=r),
+                        norm_l1(series, smoothed),
+                        norm_linf(series, smoothed),
+                        wasserstein1(original, target),
+                        bottleneck(original, target),
+                    )
+                )
+            points, failures = sweep(series, method, grids[method], r=r)
+            assert failures == []
+            assert [repr(p) for p in points] == [repr(p) for p in expected]
+
     def test_bad_entropy_arguments_raise(self):
         # A measure that cannot be taken is an error of the request, not a
-        # failure of one grid point.
+        # failure of one grid point. Every sweep shares one W1 thread, so
+        # neither an error nor another sweep leaves a thread behind.
         series = TimeSeries([0.0, 1.0, 0.5, 2.0] * 8)
+        sweep(series, "median", [3], r=0.3)
+        threads = threading.active_count()
         with pytest.raises(ValueError, match="m must be >= 1, got 0"):
-            sweep(series, "median", [3, 5], m=0)
+            sweep(series, "median", [3, 5, 7, 9], m=0)
+        assert threading.active_count() == threads
         with pytest.raises(ValueError, match="r must be finite and > 0, got inf"):
             sweep(series, "median", [3, 5], r=float("inf"))
+        points, _ = sweep(series, "median", [3, 5], r=0.3)
+        assert len(points) == 2
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_sweeps_on_its_own_thread(self):
+        # A child forked after a sweep has no copy of the W1 thread; a sweep
+        # there that submitted to the parent's executor would never finish.
+        series = TimeSeries([0.0, 1.0, 0.5, 2.0] * 8)
+        expected, _ = sweep(series, "median", [3, 5], r=0.3)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                points, _ = sweep(series, "median", [3, 5], r=0.3)
+                os._exit(0 if points == expected else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 30.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_constant_series_default_tolerance_rejected(self):
+        with pytest.raises(EvaluationError, match="series is constant"):
+            sweep(TimeSeries([3.0] * 8), "median", [3])
 
     def test_rejects_unknown_method_and_empty_grid(self):
         series = TimeSeries([0.0, 1.0] * 8)

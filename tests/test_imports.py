@@ -1,8 +1,9 @@
-"""Which code paths load scipy.
+"""Which code paths load scipy and the sweep's thread pool.
 
 The package is numpy only except for the two diagram distances, which
-import scipy on first call. These checks run in fresh interpreters, since
-the test process has loaded scipy already.
+import scipy on first call, and ``sweep``, which imports
+``concurrent.futures`` when it runs. These checks run in fresh
+interpreters, since the test process has loaded both already.
 """
 
 import json
@@ -48,7 +49,7 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
         ["entropy", "--input", data],
     ):
         assert main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")))
 """
 
 DISTANCES = """

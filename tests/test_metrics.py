@@ -332,6 +332,10 @@ class TestApproxEntropy:
         b = approx_entropy(TimeSeries(values + 100.0), m=2, r=0.4)
         assert abs(a - b) <= 1e-9
 
+    def test_constant_series_default_r_rejected(self):
+        with pytest.raises(ValueError, match="series is constant; the default r"):
+            approx_entropy(TimeSeries([3.0] * 8))
+
     def test_default_r_from_sample_std(self):
         rng = np.random.default_rng(31)
         values = rng.normal(0, 2, 64)
