@@ -20,10 +20,12 @@ plateaus and few pairs), times:
   binary search over candidate costs runs at every size.
 
 Then ``simplify`` with ``Fraction(0.5)`` of the seed-7 noisy sine at
-n=131072, and ``evaluate_series`` of the seed-7 spike train at n=1024
-and of the seed-7 random walk at n=4096, each valued by a digest of all
-its sweep points. Last, two start-up times, each a fresh ``python -c``
-process that imports the package from the same ``src``:
+n=131072 and ``load_csv`` of that sine as ``write_series_csv`` writes it,
+each valued by a digest of its values, and ``evaluate_series`` of the
+seed-7 spike train at n=1024 and of the seed-7 random walk at n=4096,
+each valued by a digest of all its sweep points. Last, two start-up
+times, each a fresh ``python -c`` process that imports the package from
+the same ``src``:
 
 - ``startup/import`` runs ``import toposmooth``;
 - ``startup/cli_smooth/n4096`` runs the CLI's ``main`` on ``smooth
@@ -98,6 +100,7 @@ def measure(src: Path) -> dict:
         diagram_of,
         evaluate_series,
         generate_synthetic,
+        load_csv,
         simplify,
         uniform_subsample,
         wasserstein1,
@@ -142,6 +145,10 @@ def measure(src: Path) -> dict:
               lambda: bottleneck(original, subsampled), float.hex)
     sine = generate_synthetic("noisy_sine", 131072, 7)
     stage("simplify/noisy_sine/n131072", lambda: simplify(sine, Fraction(0.5)), values_key)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "noisy_sine.csv"
+        write_series_csv(path, sine)
+        stage("io/load_csv/n131072", lambda: load_csv(path), values_key)
     for kind, n in (("spike_train", 1024), ("random_walk", 4096)):
         data = generate_synthetic(kind, n, 7)
         stage(f"evaluate_series/{kind}/n{n}", lambda: evaluate_series(data),

@@ -21,6 +21,7 @@ from .evaluate import (
     evaluate_series,
 )
 from .io import (
+    _content_lines,
     load_csv,
     svg_line_chart,
     svg_metric_scatter,
@@ -41,7 +42,10 @@ CLI_METHODS = tuple(name.replace("_", "-") for name in METHODS)
 def _config_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="toposmooth", add_help=False)
     parser.add_argument(
-        "--config", metavar="PATH", help="key=value lines supplying defaults; flags win"
+        "--config",
+        metavar="PATH",
+        action="append",
+        help="key=value lines supplying defaults; flags win",
     )
     return parser
 
@@ -50,30 +54,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toposmooth",
         description="Persistence-guided series smoothing, baselines and benchmark",
+        parents=[_config_parser()],
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    config = [_config_parser()]
 
-    p = sub.add_parser("smooth", parents=config, help="smooth a series with one method")
+    p = sub.add_parser("smooth", help="smooth a series with one method")
     p.add_argument("--input", type=str, required=True, help="input CSV")
     p.add_argument("--method", choices=CLI_METHODS, required=True)
     p.add_argument("--param", type=float, required=True)
     p.add_argument("--output", type=str, required=True, help="output CSV")
     p.add_argument("--svg", type=str, default=None, help="overlay chart path")
 
-    p = sub.add_parser("persistence", parents=config, help="emit extrema pairs as CSV")
+    p = sub.add_parser("persistence", help="emit extrema pairs as CSV")
     p.add_argument("--input", type=str, required=True)
     p.add_argument("--output", type=str, required=True)
 
-    p = sub.add_parser("entropy", parents=config, help="print approximate entropy")
+    p = sub.add_parser("entropy", help="print approximate entropy")
     p.add_argument("--input", type=str, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--r-factor", type=float, default=0.2)
 
-    p = sub.add_parser(
-        "evaluate", parents=config, help="full sweep, fit, AUC and rank report"
-    )
+    p = sub.add_parser("evaluate", help="full sweep, fit, AUC and rank report")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", type=str, default=None)
     src.add_argument("--synth-kind", choices=CLI_KINDS, default=None)
@@ -83,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-factor", type=float, default=0.2)
     p.add_argument("--out-dir", type=str, required=True)
 
-    p = sub.add_parser("synth", parents=config, help="generate a synthetic dataset CSV")
+    p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--kind", choices=CLI_KINDS, required=True)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--seed", type=int, default=7)
@@ -95,16 +97,17 @@ def _expand_config(argv: list[str]) -> list[str]:
     """Replace ``--config PATH`` by its ``key=value`` lines as flags.
 
     The flags go right after the subcommand, so explicit flags, which
-    come later, win; argparse then checks every value as if typed.
+    come later, win; argparse then checks every value as if typed, and
+    refuses a ``config`` key as an unknown flag.
     """
-    known, rest = _config_parser().parse_known_args(argv)
+    parser = _config_parser()
+    known, rest = parser.parse_known_args(argv)
     if known.config is None:
         return rest
+    if len(known.config) > 1:
+        parser.error("argument --config: given more than once")
     flags = []
-    for raw in Path(known.config).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in _content_lines(known.config[0]):
         if "=" not in line:
             raise ValueError(f"config line {line!r} is not key=value")
         key, value = line.split("=", 1)

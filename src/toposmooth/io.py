@@ -8,7 +8,7 @@ parse/re-serialize.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,42 +18,38 @@ from .persistence import PersistenceDiagram
 from .series import TimeSeries
 
 
-def load_csv(source) -> TimeSeries:
-    """Read a series from CSV text: one value per line, or ``x,y`` pairs.
+def _content_lines(path) -> list[tuple[int, str]]:
+    """``(line number, stripped line)`` for each line of a UTF-8 text file
+    that is neither blank nor a ``#`` comment; a byte-order mark is dropped."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    return [
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
 
-    Lines starting with ``#`` and blank lines are skipped; one leading
-    header line is tolerated. Raises ``ValueError`` naming the offending
-    line for an unparseable number or more than 2 columns, and for mixed
-    1- and 2-column rows; rows that make an invalid series are refused by
-    the ``TimeSeries`` constructor.
+
+def load_csv(path) -> TimeSeries:
+    """Read a series from a CSV file: one value per line, or ``x,y`` pairs.
+
+    Lines starting with ``#`` and blank lines are skipped; the first other
+    line may be a header. Raises ``ValueError`` naming the offending line
+    for an unparseable number or more than 2 columns, and for mixed 1- and
+    2-column rows; rows that make an invalid series are refused by the
+    ``TimeSeries`` constructor.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        label = getattr(source, "name", "stream")
-    else:
-        path = Path(source)
-        text = path.read_text(encoding="utf-8")
-        label = path.stem
-
     values: list[float] = []
     positions: list[float] = []
-    saw_data = False
-    header_skipped = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) > 2:
-            raise ValueError(f"line {lineno}: expected 1 or 2 columns, got {len(fields)}")
+    for index, (lineno, line) in enumerate(_content_lines(path)):
+        cells = [f.strip() for f in line.split(",")]
+        if len(cells) > 2:
+            raise ValueError(f"line {lineno}: expected 1 or 2 columns, got {len(cells)}")
         try:
-            row = [float(f) for f in fields]
+            row = [float(f) for f in cells]
         except ValueError:
-            if not saw_data and not header_skipped:
-                header_skipped = True
+            if index == 0:
                 continue
             raise ValueError(f"line {lineno}: unparseable number in {line!r}") from None
-        saw_data = True
         if len(row) == 2:
             positions.append(row[0])
             values.append(row[1])
@@ -61,7 +57,7 @@ def load_csv(source) -> TimeSeries:
             values.append(row[0])
     if positions and len(positions) != len(values):
         raise ValueError("mixed 1-column and 2-column rows")
-    return TimeSeries(values, positions or None, label=str(label))
+    return TimeSeries(values, positions or None, label=Path(path).stem)
 
 
 def fmt(x: float) -> str:
@@ -116,13 +112,11 @@ def write_report_json(path, result: EvaluationResult, config_echo: dict) -> None
 
 
 def write_sweep_csv(path, result: EvaluationResult) -> None:
-    lines = ["method,parameter,entropy,l1,linf,w1,bottleneck"]
+    names = [field.name for field in fields(SweepPoint)]
+    lines = [",".join(names)]
     for method in sorted(result.sweep_points):
         for p in result.sweep_points[method]:
-            lines.append(
-                f"{p.method},{fmt(p.parameter)},{fmt(p.entropy)},{fmt(p.l1)},"
-                f"{fmt(p.linf)},{fmt(p.w1)},{fmt(p.bottleneck)}"
-            )
+            lines.append(",".join([p.method, *(fmt(getattr(p, name)) for name in names[1:])]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

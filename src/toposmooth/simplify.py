@@ -53,9 +53,10 @@ SimplifyPolicy = Threshold | Fraction
 
 # Samples refitted per isotonic_fit call in simplify, which holds three
 # Python lists (samples, means, weights) of up to this many entries. On
-# perfbench's smooth_topo_n131072 (2-CPU Xeon), 2**14-sample batches kept
-# the peak RSS at 109-111 MB (111 MB with one call per segment), while
-# one batch of every segment raised it to 117-119 MB at the same speed.
+# perfbench's smooth_topo_n131072 (seed 7, two 10 s runs, 2-CPU Xeon),
+# 2**14-sample batches kept the peak RSS at 68.7-68.8 MB, while one batch
+# of every segment raised it to 75.0-75.2 MB at the same speed, and one
+# call per segment held 68.3 MB but ran 5 times slower.
 # The fit does not depend on it.
 _PAV_SAMPLES = 2**14
 

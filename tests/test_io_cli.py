@@ -77,6 +77,28 @@ class TestLoadCsv:
         assert np.array_equal(again.values, series.values)
         assert np.array_equal(again.positions, series.positions)
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        p = tmp_path / "i.csv"
+        p.write_bytes("5.0\n1.0\n2.0\n0.5\n".encode("utf-8-sig"))
+        assert np.array_equal(load_csv(p).values, [5.0, 1.0, 2.0, 0.5])
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        p = tmp_path / "j.csv"
+        p.write_bytes("x,y\n0,1.5\n2,2.5\n".encode("utf-8-sig"))
+        s = load_csv(p)
+        assert np.array_equal(s.values, [1.5, 2.5])
+        assert np.array_equal(s.positions, [0, 2])
+
+    def test_crlf_and_comment_before_header(self, tmp_path):
+        p = tmp_path / "k.csv"
+        p.write_bytes(b"# from a spreadsheet\r\n\r\nx,y\r\n0,1.5\r\n2,2.5\r\nabc\r\n")
+        with pytest.raises(ValueError, match="line 6: unparseable number in 'abc'"):
+            load_csv(p)
+        p.write_bytes(b"# from a spreadsheet\r\n\r\nx,y\r\n0,1.5\r\n2,2.5\r\n")
+        s = load_csv(p)
+        assert np.array_equal(s.values, [1.5, 2.5])
+        assert np.array_equal(s.positions, [0, 2])
+
 
 # Finite samples more than the float range apart: a persistence of inf.
 WIDER_THAN_FLOATS = "1e308\n-1e308\n1e308\n0\n5\n-1e308\n"
@@ -428,6 +450,36 @@ class TestCli:
         assert main(["synth", f"--config={config}", "--output", str(out)]) == 0
         assert len(load_csv(out)) == 40
 
+    def test_config_byte_order_mark_dropped(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_bytes("kind=noisy-sine\nn=40\n".encode("utf-8-sig"))
+        out = tmp_path / "a.csv"
+        assert main(["synth", "--config", str(config), "--output", str(out)]) == 0
+        assert len(load_csv(out)) == 40
+
+    def test_config_inside_config_rejected(self, tmp_path, capsys):
+        inner = tmp_path / "inner.conf"
+        inner.write_text("n=32\n")
+        config = tmp_path / "run.conf"
+        config.write_text(f"kind=noisy-sine\nconfig={inner}\n")
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["synth", "--config", str(config), "--output", str(out)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: --config={inner}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_config_rejected(self, tmp_path, capsys):
+        first, second = tmp_path / "a.conf", tmp_path / "b.conf"
+        first.write_text("kind=noisy-sine\n")
+        second.write_text("n=32\n")
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["synth", "--config", str(second), f"--config={first}", "--output", str(out)])
+        assert exit_info.value.code == 2
+        assert "argument --config: given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_emits_report_and_charts(self, tmp_path):
         out_dir = tmp_path / "results"
         code = main(["evaluate", "--synth-kind", "spike-train", "--n", "96",
@@ -475,3 +527,60 @@ def test_evaluate_report_bytes_unchanged(tmp_path, kind):
         for name in ("report.json", "sweep.csv")
     )
     assert got == GOLDEN_N512_SEED7[kind]
+
+
+# sha256 of the four evaluate charts at seed 7, n = 512.
+GOLDEN_N512_SEED7_CHARTS = {
+    "spike-train": {
+        "l1": "7b24fff31ddeea801056dafd197c4d4e2dc380ea0af4c1c273d011896e38afe0",
+        "linf": "1204ea923e7d363150f32afd5b3d9cddbcae3bde76aae16c5bc91129ca04a6ee",
+        "w1": "3d9083238e26527944d451a92677d6d0e285bdd85f1dbdbeeb990bcbd901aa30",
+        "bottleneck": "aff9b85a7e710037ff886f06e46fae079ad5c091462cda36577a0936871e1c15",
+    },
+    "noisy-sine": {
+        "l1": "13d36d274216067ae9ca2b9c9b4586eb648e5eb38870d090a955cf569a341d17",
+        "linf": "81ccb0c6cef318aefc68f0dc0e07d2a31cb3819b9b3524bbe5ed7d0cfcf79a1b",
+        "w1": "018a8ec7c69cf91d776b44acc31acb33bffff88d7fcd03dd556071218c36dfba",
+        "bottleneck": "c859622b3f1e683a9190a2010124e391b38f4ad75f917121c82aa0bc69c6d8cf",
+    },
+    "random-walk": {
+        "l1": "0c4da049d7c9c07e292e2c668bdc3e6cdbb54952e4cd9e570a4297e56b8876fc",
+        "linf": "c1d65b438461d1442a06c99cd16ce6f4ff2642b99f3e1d2fc63ca565065b493a",
+        "w1": "446dcd6776313a68a3492696123b2ebde4b3470976120e0fa4b37ea55cea0857",
+        "bottleneck": "67c14d19c94a37ff79c35ce13adadfb41292fa369809d866387f57651e36641a",
+    },
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_N512_SEED7_CHARTS))
+def test_evaluate_chart_bytes_unchanged(tmp_path, kind):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["evaluate", "--synth-kind", kind, "--n", "512", "--seed", "7",
+                     "--out-dir", str(tmp_path)])
+    assert code == 0
+    stem = f"{kind.replace('-', '_')}-n512-seed7"
+    golden = GOLDEN_N512_SEED7_CHARTS[kind]
+    assert {metric: _sha256(tmp_path / f"{stem}_{metric}.svg") for metric in golden} == golden
+
+
+def test_persistence_and_smooth_bytes_unchanged(tmp_path):
+    """sha256 of the seed-7 n = 512 noisy sine and its CLI outputs."""
+    data = tmp_path / "noisy_sine.csv"
+    assert main(["synth", "--kind", "noisy-sine", "--n", "512", "--seed", "7",
+                 "--output", str(data)]) == 0
+    assert main(["persistence", "--input", str(data),
+                 "--output", str(tmp_path / "pairs.csv")]) == 0
+    assert main(["smooth", "--input", str(data), "--method", "topological", "--param", "0.5",
+                 "--output", str(tmp_path / "smoothed.csv"),
+                 "--svg", str(tmp_path / "overlay.svg")]) == 0
+    names = ("noisy_sine.csv", "pairs.csv", "smoothed.csv", "overlay.svg")
+    assert {name: _sha256(tmp_path / name) for name in names} == {
+        "noisy_sine.csv": "b06082f02a37e32b7ccee09a0fb2588d614326399dd5718ac520716d41c8c61b",
+        "pairs.csv": "2fe65c19802a217a00afde9b8ad28efd4ee53755c5e7bc447a281656e999391e",
+        "smoothed.csv": "90b04513eb52832e7ea2fe9de09e22461b6f879b9d83df0789a24d1a15d98bc0",
+        "overlay.svg": "939131d4e434b5ee08147dff75725228047f93e352081037a86300885c5d7065",
+    }
