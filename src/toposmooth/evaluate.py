@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+import sys
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -28,7 +31,14 @@ from .filters import (
     median_filter,
     uniform_subsample,
 )
-from .metrics import approx_entropy, bottleneck, norm_l1, norm_linf, wasserstein1
+from .metrics import (
+    approx_entropy,
+    bottleneck,
+    check_entropy_arguments,
+    norm_l1,
+    norm_linf,
+    wasserstein1,
+)
 from .persistence import diagram_of
 from .series import TimeSeries, sample_std
 from .simplify import Fraction, Threshold, simplify
@@ -151,27 +161,116 @@ def default_grids(n: int, value_range: float) -> dict[str, list[float]]:
     return {name: METHODS[name].grid(n, value_range) for name in DEFAULT_METHODS}
 
 
-# The W1 solver thread: (process id, single-worker executor), started by the
-# first sweep of a process and kept for its life. On a 2-CPU Xeon, perfbench
-# evaluate_n1024 peaked at 94-103 MB with a thread per sweep, against 94 MB
-# with this one and 90 MB without a thread: glibc gives each thread a malloc
-# arena that keeps several MB of freed W1 matrices, and a new thread that
-# starts before the last has exited gets a fresh arena. The process id
-# keeps a forked child, which has no copy of the thread, from submitting to it.
-_w1_solver = None
-_w1_solver_lock = threading.Lock()
+# Queue tokens are 4-byte group numbers, at most one page of them, all
+# written before the fork: a pipe holds at least a page, so the writer never
+# blocks, and each read of one token is whole. Longer lists group points.
+_TOKEN_BYTES = 4
+_QUEUE_TOKENS = 4096 // _TOKEN_BYTES
 
 
-def _w1_executor():
-    global _w1_solver
-    # Imported here, like scipy in the metrics, so that a process that
-    # never sweeps does not load it.
-    from concurrent.futures import ThreadPoolExecutor
+def _may_fork() -> bool:
+    # A fork copies only the calling thread; another thread's locks would
+    # stay held in the child, so a process with more threads scores alone.
+    return (
+        sys.platform == "linux"
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
 
-    with _w1_solver_lock:
-        if _w1_solver is None or _w1_solver[0] != os.getpid():
-            _w1_solver = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="toposmooth-w1"))
-        return _w1_solver[1]
+
+def _score_points(
+    series: TimeSeries, points: list[tuple[str, float]], m: int, r: float
+) -> list[SweepPoint | str]:
+    """Score each ``(method, parameter)`` point, in their order.
+
+    A point gives its SweepPoint, or a failure message when the method
+    cannot apply the parameter. The caller and, where ``_may_fork``, one
+    forked child pull points from one queue and score each in full; the
+    child sends back each result as it is done. The caller scores every
+    point whose result did not come back, so a child that dies costs time,
+    never a value, and any error is raised by the caller's own scoring.
+    """
+    original_diagram = diagram_of(series)
+
+    def score(index: int) -> SweepPoint | str:
+        method, param = points[index]
+        try:
+            smoothed = METHODS[method](series, param)
+            smoothed_diagram = diagram_of(smoothed)
+        except (ValueError, ArithmeticError) as exc:
+            return f"{method} parameter {param!r}: {exc}"
+        return SweepPoint(
+            method,
+            float(param),
+            approx_entropy(smoothed, m=m, r=r),
+            norm_l1(series, smoothed),
+            norm_linf(series, smoothed),
+            wasserstein1(original_diagram, smoothed_diagram),
+            bottleneck(original_diagram, smoothed_diagram),
+        )
+
+    group = math.ceil(len(points) / _QUEUE_TOKENS)
+
+    def pull():
+        while token := os.read(queue, _TOKEN_BYTES):
+            start = int.from_bytes(token, "little") * group
+            yield from range(start, min(start + group, len(points)))
+
+    results: list[SweepPoint | str | None] = [None] * len(points)
+    child, back = 0, None
+    queue, queue_end = os.pipe()
+    try:
+        with open(queue_end, "wb") as tokens:
+            tokens.write(b"".join(
+                k.to_bytes(_TOKEN_BYTES, "little") for k in range(math.ceil(len(points) / group))
+            ))
+        if _may_fork():
+            returned, sent = os.pipe()
+            parent = os.getpid()
+            child = os.fork()
+            if child == 0:
+                os.close(returned)
+                _serve(pull(), score, sent, parent)
+            os.close(sent)
+            back = open(returned, "rb")
+        for index in pull():
+            results[index] = score(index)
+        while back is not None:
+            try:
+                index, result = pickle.load(back)
+            except (EOFError, pickle.UnpicklingError):
+                break  # the end, or a record cut short by the child's death
+            results[index] = result
+    except BaseException:
+        if child:
+            os.kill(child, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        if back is not None:
+            back.close()
+        if child:
+            os.waitpid(child, 0)
+    return [score(k) if result is None else result for k, result in enumerate(results)]
+
+
+def _serve(indices, score, fd: int, parent: int) -> NoReturn:
+    """The forked child: pickle ``(index, score(index))`` down ``fd`` for each index.
+
+    It stops when its parent is gone, and leaves by ``os._exit`` whatever
+    happens, so it never runs the caller's code.
+    """
+    status = 1
+    try:
+        with open(fd, "wb") as out:
+            for index in indices:
+                if os.getppid() != parent:
+                    break
+                pickle.dump((index, score(index)), out)
+                out.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def sweep(
@@ -184,15 +283,14 @@ def sweep(
     """One SweepPoint per grid parameter the method can apply.
 
     A parameter it cannot apply is recorded as a failure; a bad ``m`` or
-    ``r`` raises. ``r`` is the entropy tolerance, fixed from the original
-    series for the whole sweep so entropy values are comparable across
-    methods; it defaults to ``entropy_tolerance(series, 0.2)``.
+    ``r`` raises before any point is scored. ``r`` is the entropy
+    tolerance, fixed from the original series for the whole sweep so
+    entropy values are comparable across methods; it defaults to
+    ``entropy_tolerance(series, 0.2)``.
 
-    Each point's W1 is solved on one background thread, shared by every
-    sweep of the process, while this one takes the point's other measures
-    and moves on to the next point; scipy's assignment solver releases the
-    GIL, so the two overlap. The values are those of calling the metrics
-    one after another.
+    On Linux with two CPUs and no other Python thread, the points are
+    shared with one forked child process (see ``_score_points``); the
+    values are those of scoring each point in turn.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
@@ -200,40 +298,15 @@ def sweep(
         raise ValueError(f"unknown method {method!r}")
     if r is None:
         r = entropy_tolerance(series, 0.2)
-    apply = METHODS[method]
-    original_diagram = diagram_of(series)
+    check_entropy_arguments(m, r)
+    results = _score_points(series, [(method, param) for param in grid], m, r)
+    return _split(results)
 
-    scored = []
-    failures: list[str] = []
-    solver = _w1_executor()
-    try:
-        for param in grid:
-            try:
-                smoothed = apply(series, param)
-                smoothed_diagram = diagram_of(smoothed)
-            except (ValueError, ArithmeticError) as exc:
-                failures.append(f"{method} parameter {param!r}: {exc}")
-                continue
-            w1 = solver.submit(wasserstein1, original_diagram, smoothed_diagram)
-            scored.append(
-                (
-                    float(param),
-                    approx_entropy(smoothed, m=m, r=r),
-                    norm_l1(series, smoothed),
-                    norm_linf(series, smoothed),
-                    w1,
-                    bottleneck(original_diagram, smoothed_diagram),
-                )
-            )
-        points = [
-            SweepPoint(method, param, entropy, l1, linf, w1.result(), bn)
-            for param, entropy, l1, linf, w1, bn in scored
-        ]
-    finally:
-        # After an error, this sweep's queued solves are not needed.
-        for *_, w1, _ in scored:
-            w1.cancel()
-    return points, failures
+
+def _split(results: list[SweepPoint | str]) -> tuple[list[SweepPoint], list[str]]:
+    """The scored points and the failure messages, each in the given order."""
+    points = [p for p in results if isinstance(p, SweepPoint)]
+    return points, [f for f in results if isinstance(f, str)]
 
 
 def fit_line(points: list[tuple[float, float]]) -> FitLine:
@@ -335,18 +408,24 @@ def evaluate_series(
 ) -> EvaluationResult:
     """Full sweep -> fit -> AUC -> rank pipeline for one dataset.
 
-    Sweeps every method of ``DEFAULT_METHODS`` over its default grid.
+    Sweeps every method of ``DEFAULT_METHODS`` over its default grid, with
+    the same points, values and failures as calling ``sweep`` per method.
     """
     r = entropy_tolerance(series, r_factor)
+    check_entropy_arguments(m, r)
     value_range = float(np.max(series.values) - np.min(series.values))
     grids = default_grids(len(series), value_range)
     methods = sorted(DEFAULT_METHODS)
+    # Every method's points share one queue, so neither process waits at
+    # the end of a method's sweep.
+    jobs = [(method, param) for method in methods for param in grids[method]]
+    results = _score_points(series, jobs, m, r)
 
     all_points: dict[str, tuple[SweepPoint, ...]] = {}
     failures: list[str] = []
     fits: dict[tuple[str, str], FitLine] = {}
     for method in methods:
-        points, fails = sweep(series, method, grids[method], m=m, r=r)
+        points, fails = _split([res for (name, _), res in zip(jobs, results) if name == method])
         failures.extend(fails)
         all_points[method] = tuple(sorted(points, key=lambda p: p.parameter))
         # The four fits share the method's entropies and its domain, so they

@@ -209,6 +209,14 @@ def _row_counts(block: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.packbits(block, axis=1)).sum(axis=1)
 
 
+def check_entropy_arguments(m: int, r: float) -> None:
+    """Refuse a template length ``m`` below 1 or a tolerance ``r`` not finite and > 0."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not (0 < r < np.inf):
+        raise ValueError(f"r must be finite and > 0, got {r}")
+
+
 def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
     """Classic approximate entropy with self-matches included.
 
@@ -230,15 +238,12 @@ def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
     the dense definition, so the result is bit-identical to it.
     """
     x = _values(series)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     if r is None:
         std = sample_std(x)
         if std == 0:
             raise ValueError("series is constant; the default r (0.2 x sample std) is 0")
         r = 0.2 * std
-    if not (0 < r < np.inf):
-        raise ValueError(f"r must be finite and > 0, got {r}")
+    check_entropy_arguments(m, r)
     n = len(x)
     if n <= m + 1:
         raise ValueError(f"series of length {n} too short for m={m}")

@@ -1,3 +1,4 @@
+import fcntl
 import os
 import signal
 import threading
@@ -23,8 +24,46 @@ from toposmooth import (
     sweep,
     wasserstein1,
 )
+from toposmooth import evaluate
 from toposmooth.evaluate import DEFAULT_METHODS, METHODS, METRIC_NAMES, SweepPoint, default_grids
 from toposmooth.io import canonical_json, report_to_dict
+
+
+def score_directly(series, method, grid, r):
+    """The repr of each grid point's SweepPoint, its measures called in turn."""
+    original = diagram_of(series)
+    expected = []
+    for param in grid:
+        smoothed = METHODS[method](series, param)
+        target = diagram_of(smoothed)
+        point = SweepPoint(
+            method,
+            param,
+            approx_entropy(smoothed, m=2, r=r),
+            norm_l1(series, smoothed),
+            norm_linf(series, smoothed),
+            wasserstein1(original, target),
+            bottleneck(original, target),
+        )
+        expected.append(repr(point))
+    return expected
+
+
+def spy_on_fork(monkeypatch):
+    """Record each ``os.fork`` call (in the calling process) and still fork."""
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSweep:
@@ -73,58 +112,144 @@ class TestSweep:
 
     @pytest.mark.parametrize("kind", ["spike_train", "noisy_sine", "random_walk"])
     def test_equals_scoring_each_point_directly(self, kind):
-        # W1 is solved on a background thread; every value keeps its bits.
+        # Points are shared with a forked child; every value keeps its bits.
         series = generate_synthetic(kind, 160, 3)
         r = 0.2 * float(np.std(series.values, ddof=1))
         grids = default_grids(len(series), float(np.ptp(series.values)))
-        original = diagram_of(series)
         for method in DEFAULT_METHODS:
-            expected = []
-            for param in grids[method]:
-                smoothed = METHODS[method](series, param)
-                target = diagram_of(smoothed)
-                expected.append(
-                    SweepPoint(
-                        method,
-                        param,
-                        approx_entropy(smoothed, m=2, r=r),
-                        norm_l1(series, smoothed),
-                        norm_linf(series, smoothed),
-                        wasserstein1(original, target),
-                        bottleneck(original, target),
-                    )
-                )
             points, failures = sweep(series, method, grids[method], r=r)
             assert failures == []
-            assert [repr(p) for p in points] == [repr(p) for p in expected]
+            assert [repr(p) for p in points] == score_directly(series, method, grids[method], r)
+        assert_no_child()
 
-    def test_bad_entropy_arguments_raise(self):
+    def test_bad_entropy_arguments_raise(self, monkeypatch):
         # A measure that cannot be taken is an error of the request, not a
-        # failure of one grid point. Every sweep shares one W1 thread, so
-        # neither an error nor another sweep leaves a thread behind.
+        # failure of one grid point, even when every point fails to smooth;
+        # it is refused before a child is forked.
+        forks = spy_on_fork(monkeypatch)
         series = TimeSeries([0.0, 1.0, 0.5, 2.0] * 8)
-        sweep(series, "median", [3], r=0.3)
-        threads = threading.active_count()
         with pytest.raises(ValueError, match="m must be >= 1, got 0"):
             sweep(series, "median", [3, 5, 7, 9], m=0)
-        assert threading.active_count() == threads
+        with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+            sweep(series, "median", [4, 6], m=0)
         with pytest.raises(ValueError, match="r must be finite and > 0, got inf"):
             sweep(series, "median", [3, 5], r=float("inf"))
+        with pytest.raises(ValueError, match="r must be finite and > 0, got nan"):
+            sweep(series, "median", [4], r=float("nan"))
+        with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+            evaluate_series(series, m=0)
+        with pytest.raises(ValueError, match="r must be finite and > 0, got -"):
+            evaluate_series(series, r_factor=-1.0)
+        assert forks == []
         points, _ = sweep(series, "median", [3, 5], r=0.3)
         assert len(points) == 2
-        assert threading.active_count() == threads
+        assert_no_child()
+
+    @pytest.mark.parametrize("death", ["exit", "raise"])
+    def test_child_that_stops_mid_queue_changes_nothing(self, monkeypatch, death):
+        # The caller scores the points whose results never came back.
+        series = generate_synthetic("noisy_sine", 160, 3)
+        grid = [3, 5, 7, 9, 11, 13, 15, 17]
+        expected = sweep(series, "median", grid, r=0.3)
+        forks = spy_on_fork(monkeypatch)
+        test_pid, real, calls = os.getpid(), evaluate.approx_entropy, []
+
+        def stops_in_child(*args, **kwargs):
+            calls.append(1)
+            if os.getpid() != test_pid and len(calls) > 1:
+                if death == "exit":
+                    os._exit(1)
+                raise RuntimeError("child stopped")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "approx_entropy", stops_in_child)
+        assert sweep(series, "median", grid, r=0.3) == expected
+        assert len(forks) == evaluate._may_fork()
+        assert_no_child()
+
+    def test_error_in_the_caller_kills_and_reaps_the_child(self, monkeypatch):
+        # The child would take 20 s over its first point; the caller's error
+        # must not wait for it.
+        series = generate_synthetic("noisy_sine", 160, 3)
+        test_pid, real, calls = os.getpid(), evaluate.approx_entropy, []
+
+        def fails_third_in_caller(*args, **kwargs):
+            if os.getpid() != test_pid:
+                time.sleep(20.0)
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("third point")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "approx_entropy", fails_third_in_caller)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="third point"):
+            sweep(series, "median", [3, 5, 7, 9, 11, 13, 15, 17], r=0.3)
+        assert time.monotonic() - start < 10.0
+        assert_no_child()
+
+    def test_scores_alone_beside_another_thread(self, monkeypatch):
+        # fork copies only the calling thread, so no child is forked while
+        # a second thread runs; the values are the same.
+        series = generate_synthetic("random_walk", 160, 3)
+        grid = [3, 5, 7, 9]
+        expected = sweep(series, "median", grid, r=0.3)
+        forks = spy_on_fork(monkeypatch)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            points = sweep(series, "median", grid, r=0.3)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+        assert points == expected
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs F_SETPIPE_SZ")
+    def test_grid_longer_than_the_queue_in_one_page_pipes(self, monkeypatch):
+        # Tokens beyond one page could block the writer of a one-page pipe
+        # before the child exists; the alarm turns such a hang into an error.
+        series = TimeSeries([0.0, 1.0, 0.5, 2.0, -1.0, 0.25] * 3)
+        grid = [float(t) for t in np.linspace(0.0, 3.0, evaluate._QUEUE_TOKENS + 77)]
+        expected = score_directly(series, "topological_threshold", grid, 0.3)
+        real_pipe = os.pipe
+
+        def one_page_pipe():
+            read, write = real_pipe()
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+            return read, write
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the sweep blocked")
+
+        monkeypatch.setattr(os, "pipe", one_page_pipe)
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(60)
+        try:
+            points, failures = sweep(series, "topological_threshold", grid, r=0.3)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert failures == []
+        assert [repr(p) for p in points] == expected
+        assert_no_child()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_sweeps_on_its_own_thread(self):
-        # A child forked after a sweep has no copy of the W1 thread; a sweep
-        # there that submitted to the parent's executor would never finish.
+    def test_sweep_in_a_forked_child(self):
+        # A sweep in a child forked after a sweep forks and reaps its own.
         series = TimeSeries([0.0, 1.0, 0.5, 2.0] * 8)
         expected, _ = sweep(series, "median", [3, 5], r=0.3)
         pid = os.fork()
         if pid == 0:
             try:
                 points, _ = sweep(series, "median", [3, 5], r=0.3)
-                os._exit(0 if points == expected else 1)
+                try:
+                    os.waitpid(-1, os.WNOHANG)
+                except ChildProcessError:
+                    os._exit(0 if points == expected else 1)
+                os._exit(3)
             finally:
                 os._exit(2)
         deadline = time.monotonic() + 30.0
@@ -134,6 +259,7 @@ class TestSweep:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+        assert_no_child()
 
     def test_constant_series_default_tolerance_rejected(self):
         with pytest.raises(EvaluationError, match="series is constant"):

@@ -1,9 +1,10 @@
-"""Which code paths load scipy and the sweep's thread pool.
+"""Which code paths load scipy, and that evaluation loads no pool module.
 
 The package is numpy only except for the two diagram distances, which
-import scipy on first call, and ``sweep``, which imports
-``concurrent.futures`` when it runs. These checks run in fresh
-interpreters, since the test process has loaded both already.
+import scipy on first call. An evaluation shares its points with a child
+made by ``os.fork``, so it loads neither ``concurrent`` nor
+``multiprocessing`` beyond what scipy itself imports. These checks run in
+fresh interpreters, since the test process has loaded all of them already.
 """
 
 import json
@@ -52,6 +53,23 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")))
 """
 
+TINY_EVALUATE = """
+import sys
+
+import scipy.optimize, scipy.sparse.csgraph  # as the diagram distances do
+
+
+def pools():
+    return {m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")}
+
+
+before = pools()
+from toposmooth import evaluate_series, generate_synthetic
+
+evaluate_series(generate_synthetic("random_walk", 128, 7))
+print(sorted(pools() - before))
+"""
+
 DISTANCES = """
 import json
 
@@ -75,6 +93,10 @@ def run_fresh(code: str) -> str:
 
 def test_only_the_diagram_distances_load_scipy():
     assert run_fresh(EVERY_PATH_BUT_THE_DISTANCES) == "[]"
+
+
+def test_evaluate_loads_no_pool_module():
+    assert run_fresh(TINY_EVALUATE) == "[]"
 
 
 def test_distances_in_a_fresh_process_match_this_one():
