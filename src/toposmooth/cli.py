@@ -30,7 +30,7 @@ from .io import (
     write_series_csv,
     write_sweep_csv,
 )
-from .metrics import approx_entropy
+from .metrics import DEFAULT_M, DEFAULT_R_FACTOR, approx_entropy
 from .persistence import diagram_of
 from .series import TimeSeries
 from .synth import KINDS, generate_synthetic
@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="print approximate entropy")
     p.add_argument("--input", type=str, required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--r-factor", type=float, default=0.2)
+    p.add_argument("--m", type=int, default=DEFAULT_M)
+    p.add_argument("--r-factor", type=float, default=DEFAULT_R_FACTOR)
 
     p = sub.add_parser("evaluate", help="full sweep, fit, AUC and rank report")
     src = p.add_mutually_exclusive_group(required=True)
@@ -81,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--synth-kind", choices=CLI_KINDS, default=None)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--r-factor", type=float, default=0.2)
+    p.add_argument("--m", type=int, default=DEFAULT_M)
+    p.add_argument("--r-factor", type=float, default=DEFAULT_R_FACTOR)
     p.add_argument("--out-dir", type=str, required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")

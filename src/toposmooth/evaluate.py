@@ -32,15 +32,18 @@ from .filters import (
     uniform_subsample,
 )
 from .metrics import (
+    DEFAULT_M,
+    DEFAULT_R_FACTOR,
     approx_entropy,
     bottleneck,
     check_entropy_arguments,
+    entropy_tolerance,
     norm_l1,
     norm_linf,
     wasserstein1,
 )
 from .persistence import diagram_of
-from .series import TimeSeries, sample_std
+from .series import TimeSeries
 from .simplify import Fraction, Threshold, simplify
 
 METRIC_NAMES = ("l1", "linf", "w1", "bottleneck")
@@ -179,21 +182,26 @@ def _may_fork() -> bool:
 
 
 def _score_points(
-    series: TimeSeries, points: list[tuple[str, float]], m: int, r: float
-) -> list[SweepPoint | str]:
-    """Score each ``(method, parameter)`` point, in their order.
+    series: TimeSeries, grids: dict[str, list[float]], m: int, r: float
+) -> dict[str, tuple[list[SweepPoint], list[str]]]:
+    """Per method of ``grids``, its SweepPoints and failures, in grid order.
 
-    A point gives its SweepPoint, or a failure message when the method
-    cannot apply the parameter. The caller and, where ``_may_fork``, one
-    forked child pull points from one queue and score each in full; the
-    child sends back each result as it is done. The caller scores every
-    point whose result did not come back, so a child that dies costs time,
-    never a value, and any error is raised by the caller's own scoring.
+    ``m`` and ``r`` are checked, against the length too, before any fork.
+    A parameter the method cannot apply gives a failure message. The caller
+    and, where ``_may_fork``, one forked child pull points from one queue
+    and score each in full; the child sends back each result as it is done.
+    The caller scores every point whose result did not come back, so a
+    child that dies costs time, never a value, and any error is raised by
+    the caller's own scoring.
     """
+    check_entropy_arguments(m, r, len(series))
+    # Every method's points share one queue, so neither process waits at
+    # the end of a method's sweep.
+    jobs = [(method, param) for method, grid in grids.items() for param in grid]
     original_diagram = diagram_of(series)
 
     def score(index: int) -> SweepPoint | str:
-        method, param = points[index]
+        method, param = jobs[index]
         try:
             smoothed = METHODS[method](series, param)
             smoothed_diagram = diagram_of(smoothed)
@@ -209,20 +217,20 @@ def _score_points(
             bottleneck(original_diagram, smoothed_diagram),
         )
 
-    group = math.ceil(len(points) / _QUEUE_TOKENS)
+    group = math.ceil(len(jobs) / _QUEUE_TOKENS)
 
     def pull():
         while token := os.read(queue, _TOKEN_BYTES):
             start = int.from_bytes(token, "little") * group
-            yield from range(start, min(start + group, len(points)))
+            yield from range(start, min(start + group, len(jobs)))
 
-    results: list[SweepPoint | str | None] = [None] * len(points)
+    results: list[SweepPoint | str | None] = [None] * len(jobs)
     child, back = 0, None
     queue, queue_end = os.pipe()
     try:
         with open(queue_end, "wb") as tokens:
             tokens.write(b"".join(
-                k.to_bytes(_TOKEN_BYTES, "little") for k in range(math.ceil(len(points) / group))
+                k.to_bytes(_TOKEN_BYTES, "little") for k in range(math.ceil(len(jobs) / group))
             ))
         if _may_fork():
             returned, sent = os.pipe()
@@ -251,7 +259,11 @@ def _score_points(
             back.close()
         if child:
             os.waitpid(child, 0)
-    return [score(k) if result is None else result for k, result in enumerate(results)]
+    scored = {method: ([], []) for method in grids}
+    for k, (method, _) in enumerate(jobs):
+        result = score(k) if results[k] is None else results[k]
+        scored[method][isinstance(result, str)].append(result)  # failures second
+    return scored
 
 
 def _serve(indices, score, fd: int, parent: int) -> NoReturn:
@@ -277,16 +289,15 @@ def sweep(
     series: TimeSeries,
     method: str,
     grid: list[float],
-    m: int = 2,
+    m: int = DEFAULT_M,
     r: float | None = None,
 ) -> tuple[list[SweepPoint], list[str]]:
     """One SweepPoint per grid parameter the method can apply.
 
-    A parameter it cannot apply is recorded as a failure; a bad ``m`` or
-    ``r`` raises before any point is scored. ``r`` is the entropy
-    tolerance, fixed from the original series for the whole sweep so
-    entropy values are comparable across methods; it defaults to
-    ``entropy_tolerance(series, 0.2)``.
+    A parameter it cannot apply is recorded as a failure. ``r``, fixed
+    from the original series so entropies compare across methods, defaults
+    to ``entropy_tolerance(series, DEFAULT_R_FACTOR)``. A constant series,
+    a bad ``m`` or ``r`` or too short a series raises before any scoring.
 
     On Linux with two CPUs and no other Python thread, the points are
     shared with one forked child process (see ``_score_points``); the
@@ -297,16 +308,8 @@ def sweep(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if r is None:
-        r = entropy_tolerance(series, 0.2)
-    check_entropy_arguments(m, r)
-    results = _score_points(series, [(method, param) for param in grid], m, r)
-    return _split(results)
-
-
-def _split(results: list[SweepPoint | str]) -> tuple[list[SweepPoint], list[str]]:
-    """The scored points and the failure messages, each in the given order."""
-    points = [p for p in results if isinstance(p, SweepPoint)]
-    return points, [f for f in results if isinstance(f, str)]
+        r = entropy_tolerance(series, DEFAULT_R_FACTOR)
+    return _score_points(series, {method: grid}, m, r)[method]
 
 
 def fit_line(points: list[tuple[float, float]]) -> FitLine:
@@ -393,18 +396,10 @@ class EvaluationResult:
     failures: tuple[str, ...]
 
 
-def entropy_tolerance(series: TimeSeries, r_factor: float) -> float:
-    """ApEn's tolerance r: ``r_factor`` times the sample standard deviation."""
-    std = sample_std(series.values)
-    if std == 0:
-        raise EvaluationError("series is constant; entropy calibration undefined")
-    return r_factor * std
-
-
 def evaluate_series(
     series: TimeSeries,
-    m: int = 2,
-    r_factor: float = 0.2,
+    m: int = DEFAULT_M,
+    r_factor: float = DEFAULT_R_FACTOR,
 ) -> EvaluationResult:
     """Full sweep -> fit -> AUC -> rank pipeline for one dataset.
 
@@ -412,20 +407,14 @@ def evaluate_series(
     the same points, values and failures as calling ``sweep`` per method.
     """
     r = entropy_tolerance(series, r_factor)
-    check_entropy_arguments(m, r)
     value_range = float(np.max(series.values) - np.min(series.values))
     grids = default_grids(len(series), value_range)
-    methods = sorted(DEFAULT_METHODS)
-    # Every method's points share one queue, so neither process waits at
-    # the end of a method's sweep.
-    jobs = [(method, param) for method in methods for param in grids[method]]
-    results = _score_points(series, jobs, m, r)
+    scored = _score_points(series, dict(sorted(grids.items())), m, r)
 
     all_points: dict[str, tuple[SweepPoint, ...]] = {}
     failures: list[str] = []
     fits: dict[tuple[str, str], FitLine] = {}
-    for method in methods:
-        points, fails = _split([res for (name, _), res in zip(jobs, results) if name == method])
+    for method, (points, fails) in scored.items():
         failures.extend(fails)
         all_points[method] = tuple(sorted(points, key=lambda p: p.parameter))
         # The four fits share the method's entropies and its domain, so they
@@ -450,7 +439,7 @@ def evaluate_series(
     aucs = {
         metric: {
             name: auc(fits[(name, metric)], (e0, e1)) if (name, metric) in fits else None
-            for name in methods
+            for name in scored
         }
         for metric in METRIC_NAMES
     }

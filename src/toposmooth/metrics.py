@@ -27,6 +27,9 @@ from .series import TimeSeries, sample_std
 # do not depend on it.
 _BLOCK_CELLS = 2**18
 
+DEFAULT_M = 2  # ApEn's template length when none is given
+DEFAULT_R_FACTOR = 0.2  # r as a multiple of the sample std when no r is given
+
 
 def _values(x) -> np.ndarray:
     return (x if isinstance(x, TimeSeries) else TimeSeries(x)).values
@@ -53,13 +56,15 @@ def norm_linf(a, b) -> float:
 
 
 def _points(diagram) -> np.ndarray:
-    """Coerce a PersistenceDiagram or (birth, death) pairs to an (m, 2) array."""
+    """Coerce a PersistenceDiagram or finite pairs, birth <= death, to an (m, 2) array."""
     if hasattr(diagram, "finite_points"):
         return diagram.finite_points()  # finite: the series was validated
     pts = [(float(p[0]), float(p[1])) for p in diagram]
     out = np.asarray(pts, dtype=np.float64).reshape(len(pts), 2)
     if len(out) and not np.all(np.isfinite(out)):
         raise ValueError("diagram points must be finite")
+    if np.any(out[:, 1] < out[:, 0]):
+        raise ValueError(f"diagram point {next(p for p in pts if p[1] < p[0])} has death < birth")
     return out
 
 
@@ -209,23 +214,33 @@ def _row_counts(block: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.packbits(block, axis=1)).sum(axis=1)
 
 
-def check_entropy_arguments(m: int, r: float) -> None:
-    """Refuse a template length ``m`` below 1 or a tolerance ``r`` not finite and > 0."""
+def entropy_tolerance(series, r_factor: float) -> float:
+    """ApEn's tolerance r: ``r_factor`` times the sample std; a constant series has none."""
+    std = sample_std(_values(series))
+    if std == 0:
+        raise ValueError("series is constant; entropy calibration undefined")
+    return r_factor * std
+
+
+def check_entropy_arguments(m: int, r: float, n: int) -> None:
+    """Refuse, in this order, ``m`` below 1, ``r`` not finite and > 0, and ``n <= m + 1``."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not (0 < r < np.inf):
         raise ValueError(f"r must be finite and > 0, got {r}")
+    if n <= m + 1:
+        raise ValueError(f"series of length {n} too short for m={m}")
 
 
-def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
+def approx_entropy(series, m: int = DEFAULT_M, r: float | None = None) -> float:
     """Classic approximate entropy with self-matches included.
 
     ``phi(m)`` is the mean log-fraction of length-m templates within
     Chebyshev distance ``r`` of each template; the statistic is
-    ``phi(m) - phi(m+1)``. ``r`` defaults to 0.2 times the sample standard
-    deviation of the input, and a constant input, which has no such r, is
-    refused; when sweeping smoothing levels it should be computed once
-    from the original series and held fixed.
+    ``phi(m) - phi(m+1)``. ``r`` defaults to ``entropy_tolerance(series,
+    DEFAULT_R_FACTOR)``, which refuses a constant input; when sweeping
+    smoothing levels it should be computed once from the original series
+    and held fixed. ``check_entropy_arguments`` refuses bad m, r and n.
 
     The match counts are exact integers from one relation between samples,
     R(p, q): ``|x_p - x_q| <= r``, the float test of the dense pairwise
@@ -239,14 +254,9 @@ def approx_entropy(series, m: int = 2, r: float | None = None) -> float:
     """
     x = _values(series)
     if r is None:
-        std = sample_std(x)
-        if std == 0:
-            raise ValueError("series is constant; the default r (0.2 x sample std) is 0")
-        r = 0.2 * std
-    check_entropy_arguments(m, r)
+        r = entropy_tolerance(series, DEFAULT_R_FACTOR)
     n = len(x)
-    if n <= m + 1:
-        raise ValueError(f"series of length {n} too short for m={m}")
+    check_entropy_arguments(m, r, n)
 
     rank, first, last = _run_ends(x, r)
     count = n - m + 1  # templates of length m; there is one fewer of length m + 1

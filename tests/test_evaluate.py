@@ -140,6 +140,12 @@ class TestSweep:
             evaluate_series(series, m=0)
         with pytest.raises(ValueError, match="r must be finite and > 0, got -"):
             evaluate_series(series, r_factor=-1.0)
+        # Too long an m is refused whether the points fail to smooth or not.
+        for grid in ([4, 6], [3, 5]):
+            with pytest.raises(ValueError, match="series of length 32 too short for m=31"):
+                sweep(series, "median", grid, m=31)
+        with pytest.raises(ValueError, match="series of length 32 too short for m=32"):
+            evaluate_series(series, m=len(series))
         assert forks == []
         points, _ = sweep(series, "median", [3, 5], r=0.3)
         assert len(points) == 2
@@ -262,8 +268,10 @@ class TestSweep:
         assert_no_child()
 
     def test_constant_series_default_tolerance_rejected(self):
-        with pytest.raises(EvaluationError, match="series is constant"):
+        with pytest.raises(ValueError) as info:
             sweep(TimeSeries([3.0] * 8), "median", [3])
+        assert info.type is ValueError
+        assert str(info.value) == "series is constant; entropy calibration undefined"
 
     def test_rejects_unknown_method_and_empty_grid(self):
         series = TimeSeries([0.0, 1.0] * 8)
@@ -398,5 +406,33 @@ class TestEvaluateSeries:
         assert a == b
 
     def test_constant_series_rejected(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(ValueError) as info:
             evaluate_series(TimeSeries([1.0] * 64))
+        assert info.type is ValueError
+        assert str(info.value) == "series is constant; entropy calibration undefined"
+
+    def test_failures_listed_by_method_points_then_fit(self, series, monkeypatch):
+        # Each method's point failures in grid order, then its fit failure;
+        # methods in sorted order.
+        grids = default_grids(len(series), float(np.ptp(series.values)))
+
+        def refusing(name, refused):
+            method = METHODS[name]
+
+            def apply(s, param):
+                if param in refused:
+                    raise ValueError("refused")
+                return method.apply(s, param)
+
+            monkeypatch.setitem(METHODS, name, method._replace(apply=apply))
+
+        refusing("gaussian", grids["gaussian"][1:])
+        refusing("cutoff", grids["cutoff"][2:8:2])
+        result = evaluate_series(series)
+        assert list(result.failures) == [
+            *(f"cutoff parameter {p!r}: refused" for p in grids["cutoff"][2:8:2]),
+            *(f"gaussian parameter {p!r}: refused" for p in grids["gaussian"][1:]),
+            "gaussian: need >= 2 points to fit, got 1",
+        ]
+        assert result.ranks["l1"]["gaussian"]["unrankable"]
+        assert len(result.sweep_points["cutoff"]) == len(grids["cutoff"]) - 3

@@ -123,6 +123,17 @@ class TestDiagramDistances:
         assert wasserstein1([], []) == 0.0
         assert bottleneck([], []) == 0.0
 
+    @pytest.mark.parametrize("distance", [wasserstein1, bottleneck])
+    def test_raw_point_with_death_below_birth_rejected(self, distance):
+        message = r"^diagram point \(3\.0, 1\.0\) has death < birth$"
+        with pytest.raises(ValueError, match=message):
+            distance([(3.0, 1.0)], [])
+        with pytest.raises(ValueError, match=message):
+            distance([(0.0, 1.0)], [(0.0, 2.0), (3, 1), (5.0, 4.0)])
+        # A zero-persistence point lies on the diagonal and costs nothing.
+        assert distance([(2.0, 2.0)], []) == 0.0
+        assert distance([(2.0, 2.0)], [(0.0, 1.0)]) == distance([], [(0.0, 1.0)])
+
     def test_accepts_diagram_objects(self):
         d1 = diagram_of([0, 5, 1, 4, 0])
         d2 = diagram_of([0, 5, 1, 4, 0])
@@ -333,8 +344,10 @@ class TestApproxEntropy:
         assert abs(a - b) <= 1e-9
 
     def test_constant_series_default_r_rejected(self):
-        with pytest.raises(ValueError, match="series is constant; the default r"):
+        with pytest.raises(ValueError) as info:
             approx_entropy(TimeSeries([3.0] * 8))
+        assert info.type is ValueError
+        assert str(info.value) == "series is constant; entropy calibration undefined"
 
     def test_default_r_from_sample_std(self):
         rng = np.random.default_rng(31)
