@@ -21,11 +21,13 @@ import numpy as np
 
 from .series import TimeSeries, sample_std
 
-# Cells of the sample relation built at a time in approx_entropy. Blocks
-# of 2**18 cells (256 KB of booleans) took about half the time of 2**20 on
-# smoothed series at n=1024 and 3/4 at n=16384 (2-CPU Xeon); the counts
-# do not depend on it.
-_BLOCK_CELLS = 2**18
+# Template rows, and 64-bit words of template columns, counted at a time in
+# approx_entropy; the counts do not depend on them. With 8 words a block's
+# arrays stay under 128 KB, below which glibc reuses freed heap; at 16
+# words every n=1024 call faulted in about 200 fresh pages and took about
+# 1.4 times as long (2-CPU Xeon).
+_BLOCK_ROWS = 1024
+_BLOCK_WORDS = 8
 
 DEFAULT_M = 2  # ApEn's template length when none is given
 DEFAULT_R_FACTOR = 0.2  # r as a multiple of the sample std when no r is given
@@ -178,8 +180,8 @@ def bottleneck(c, c_prime) -> float:
 
 
 def _run_ends(x: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each sample's rank among the distinct values of ``x``, and the first
-    and last rank of the samples within ``r`` of it.
+    """Each sample's position in a stable sort of ``x``, and the first and
+    one-past-last position of the samples within ``r`` of it.
 
     Rounded subtraction is monotone, so the values ``v`` with
     ``|x_p - v| <= r`` in floats form one run of the sorted distinct values.
@@ -188,7 +190,14 @@ def _run_ends(x: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     each end then steps one value at a time until the exact test holds at
     it and fails just past it.
     """
-    values, rank = np.unique(x, return_inverse=True)
+    n = len(x)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)  # the position of each distinct value's first sample
+    values = ordered[starts]
     top = len(values) - 1
 
     def within(ends: np.ndarray) -> np.ndarray:
@@ -205,13 +214,35 @@ def _run_ends(x: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     first = settle(np.searchsorted(values, values - r, "left"), -1)
     last = settle(np.searchsorted(values, values + r, "right") - 1, 1)
-    # The narrowest unsigned type that holds every rank compares fastest.
-    dtype = np.min_scalar_type(top)
-    return rank.astype(dtype), first[rank].astype(dtype), last[rank].astype(dtype)
+    bounds = np.append(starts, n)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    rank = (np.cumsum(new) - 1)[position]  # each sample's distinct value
+    return position, bounds[first][rank], bounds[last + 1][rank]
 
 
-def _row_counts(block: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(np.packbits(block, axis=1)).sum(axis=1)
+def _shifted(related: np.ndarray, k: int, span: int, size: int) -> np.ndarray:
+    """``size`` words of a relation block moved ``k`` rows and ``k`` columns on.
+
+    ``related`` holds word w of relation row i at ``w * span + i``. A row
+    step is one place; a column step is one bit, drawn across the word
+    boundary from the next word, ``span`` places on.
+    """
+    whole, bits = divmod(k, 64)
+    at = whole * span + k
+    if not bits:
+        return related[at : at + size]
+    moved = related[at : at + size] >> bits
+    moved |= related[at + span : at + span + size] << (64 - bits)
+    return moved
+
+
+def _row_counts(match: np.ndarray, span: int, rows: int) -> np.ndarray:
+    """The set bits of each of the first ``rows`` rows of a match block.
+
+    A row holds at most ``64 * _BLOCK_WORDS`` columns, fewer than 2**16.
+    """
+    return np.bitwise_count(match).reshape(-1, span)[:, :rows].sum(axis=0, dtype=np.uint16)
 
 
 def entropy_tolerance(series, r_factor: float) -> float:
@@ -247,10 +278,16 @@ def approx_entropy(series, m: int = DEFAULT_M, r: float | None = None) -> float:
     definition. Templates i and j match at length L iff R(i + k, j + k)
     holds for every k < L, so the length-m match matrix is the AND of m
     diagonal-shifted slices of R, and one more slice gives length m + 1.
-    Each sample's matches form one run of the sorted values, so R is two
-    comparisons of ranks against that run's ends, built a block of rows at
-    a time. The log-fractions are then summed in the same fixed blocks as
-    the dense definition, so the result is bit-identical to it.
+    Each sample's matches form one run of positions in a sorted copy of
+    the series. Over a block of 64-bit words of columns, the bitsets of
+    the block's columns sorted before each position take at most one more
+    value than the block has columns; a table of them, built once per
+    block, gives each row of R as the XOR of two table rows. A shift by k
+    rows and k bits slides R k steps along its diagonal, so the matches
+    are word shifts and ANDs, built a block of rows at a time and counted
+    with ``np.bitwise_count``. The log-fractions are then summed in the same
+    fixed blocks as the dense definition, so the result is bit-identical
+    to it.
     """
     x = _values(series)
     if r is None:
@@ -258,24 +295,48 @@ def approx_entropy(series, m: int = DEFAULT_M, r: float | None = None) -> float:
     n = len(x)
     check_entropy_arguments(m, r, n)
 
-    rank, first, last = _run_ends(x, r)
+    position, lo, hi = _run_ends(x, r)
     count = n - m + 1  # templates of length m; there is one fewer of length m + 1
-    hits_m = np.empty(count, dtype=np.int64)
-    hits_longer = np.empty(count - 1, dtype=np.int64)
-    rows = max(1, _BLOCK_CELLS // n)
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        # Relation rows start .. stop + m - 1 (at most n - 1): the template
-        # at i reads samples i .. i + m at length m + 1.
-        related = (rank >= first[start : stop + m, None]) & (rank <= last[start : stop + m, None])
-        match = related[: stop - start, :count].copy()
-        for k in range(1, m):
-            match &= related[k : k + stop - start, k : k + count]
-        hits_m[start:stop] = _row_counts(match)
-        longer = min(stop, count - 1) - start
-        hits_longer[start : start + longer] = _row_counts(
-            match[:longer, :-1] & related[m : m + longer, m:]
+    hits_m = np.zeros(count, dtype=np.intp)
+    hits_longer = np.zeros(count - 1, dtype=np.intp)
+    width = min(_BLOCK_WORDS, -(-count // 64))  # words of template columns per block
+    words = width + -(-m // 64)  # and of the columns a shift by k <= m brings in
+    seen = np.empty(n + 1, dtype=np.min_scalar_type(64 * words))
+    for first_column in range(0, count, 64 * width):
+        # Row t of the table is the bitset of the block's first t columns
+        # along the sorted order. seen[p] counts the block's columns sorted
+        # before p, so the block's columns within r of a sample, at sorted
+        # positions lo .. hi - 1, are table rows seen[hi] XOR seen[lo].
+        at = position[first_column : first_column + 64 * words]
+        column = np.argsort(at)
+        table = np.zeros((words, len(column) + 1), dtype=np.uint64)
+        table[column // 64, np.arange(1, len(column) + 1)] = np.left_shift(
+            np.uint64(1), (column % 64).astype(np.uint64)
         )
+        np.bitwise_or.accumulate(table, axis=1, out=table)
+        seen[:] = 0
+        seen[at + 1] = 1
+        np.cumsum(seen, out=seen)
+        for start in range(0, count, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, count)
+            # Relation rows start .. stop + m - 1 (at most n - 1): the template
+            # at i reads samples i .. i + m at length m + 1. The m spare
+            # words past the grid keep every shifted slice in bounds; what a
+            # slice reads from them lands only in rows that are not counted.
+            span = min(stop + m, n) - start
+            related = np.empty(words * span + m, dtype=np.uint64)
+            grid = related[: words * span].reshape(words, span)
+            np.take(table, seen[hi[start : start + span]], axis=1, out=grid)
+            grid ^= np.take(table, seen[lo[start : start + span]], axis=1)
+            size = width * span
+            match = related[:size]
+            for k in range(1, m):
+                match = match & _shifted(related, k, span, size)
+            hits_m[start:stop] += _row_counts(match, span, stop - start)
+            longer = min(stop, count - 1) - start
+            hits_longer[start : start + longer] += _row_counts(
+                match & _shifted(related, m, span, size), span, longer
+            )
 
     def phi(hits: np.ndarray, mm: int) -> float:
         count = len(hits)

@@ -388,16 +388,38 @@ class TestApproxEntropy:
         assert approx_entropy(values, m=m, r=r) == apen_dense(values, m, r)
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 65])
     def test_equals_dense_kernel_with_few_rows_per_block(self, monkeypatch, rows, m):
-        # Blocks of one to three relation rows put block edges next to every
-        # slice that reads m rows past the block.
+        # Blocks of one to three template rows put block edges next to every
+        # slice that reads m rows past the block. Blocks of one or two words
+        # (64 or 128 columns) split both inputs into several column blocks
+        # and put word edges inside every shifted slice; at m = 65 the two
+        # spill words are wider than a one-word block.
         rng = np.random.default_rng(3)
-        walk = np.cumsum(rng.normal(0.0, 1.0, 97))
-        plateaus = np.repeat(rng.integers(0, 4, 30), rng.integers(1, 6, 30)).astype(float)
-        for values in (walk, plateaus):
-            monkeypatch.setattr(metrics, "_BLOCK_CELLS", rows * len(values))
-            r = 0.2 * float(np.std(values, ddof=1))
+        walk = np.cumsum(rng.normal(0.0, 1.0, 240))
+        plateaus = np.repeat(rng.integers(0, 4, 80), rng.integers(1, 6, 80)).astype(float)
+        monkeypatch.setattr(metrics, "_BLOCK_ROWS", rows)
+        for words in (1, 2):
+            monkeypatch.setattr(metrics, "_BLOCK_WORDS", words)
+            for values in (walk, plateaus):
+                assert len(values) - m + 1 > 64 * words  # more than one column block
+                r = 0.2 * float(np.std(values, ddof=1))
+                assert approx_entropy(values, m=m, r=r) == apen_dense(values, m, r)
+
+    @pytest.mark.parametrize("blocks", [None, (5, 1)], ids=["default_blocks", "tiny_blocks"])
+    @pytest.mark.parametrize("n", [127, 128, 129])
+    @pytest.mark.parametrize("m", [63, 64, 65])
+    def test_equals_dense_kernel_at_word_edges(self, monkeypatch, blocks, n, m):
+        # m = 64 shifts by exactly one word; 63 and 65 fall one bit either
+        # side. n = 127, 128 and 129 end the samples one column before, at
+        # and after a word edge.
+        if blocks is not None:
+            monkeypatch.setattr(metrics, "_BLOCK_ROWS", blocks[0])
+            monkeypatch.setattr(metrics, "_BLOCK_WORDS", blocks[1])
+        rng = np.random.default_rng(n)
+        walk = np.cumsum(rng.normal(0.0, 1.0, n))
+        steps = rng.integers(0, 3, n).astype(float)
+        for values, r in ((walk, 0.2 * float(np.std(walk, ddof=1))), (steps, 1.0)):
             assert approx_entropy(values, m=m, r=r) == apen_dense(values, m, r)
 
     def test_rejects_bad_arguments(self):
