@@ -20,8 +20,10 @@ plateaus and few pairs), times:
   binary search over candidate costs runs at every size.
 
 Then ``simplify`` with ``Fraction(0.5)`` of the seed-7 noisy sine at
-n=131072 and ``load_csv`` of that sine as ``write_series_csv`` writes it,
-each valued by a digest of its values, and ``evaluate_series`` of the
+n=131072, ``diagram_of`` and that ``simplify`` of the seed-7 spike train
+at n=131072 (long enough for the sweep to pair in whole-array rounds),
+and ``load_csv`` of that sine as ``write_series_csv`` writes it, each
+valued by a digest of its values or pairs, and ``evaluate_series`` of the
 seed-7 spike train at n=1024 and of the seed-7 random walk and noisy sine
 at n=4096, each valued by a digest of all its sweep points. Last, two start-up
 times, each a fresh ``python -c`` process that imports the package from
@@ -147,6 +149,9 @@ def measure(src: Path) -> dict:
               lambda: bottleneck(original, subsampled), float.hex)
     sine = generate_synthetic("noisy_sine", 131072, 7)
     stage("simplify/noisy_sine/n131072", lambda: simplify(sine, Fraction(0.5)), values_key)
+    spikes = generate_synthetic("spike_train", 131072, 7)
+    stage("diagram_of/spike_train/n131072", lambda: diagram_of(spikes), pairs_key)
+    stage("simplify/spike_train/n131072", lambda: simplify(spikes, Fraction(0.5)), values_key)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "noisy_sine.csv"
         write_series_csv(path, sine)

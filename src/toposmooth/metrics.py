@@ -22,7 +22,8 @@ import numpy as np
 from .series import TimeSeries, sample_std
 
 # Template rows, and 64-bit words of template columns, counted at a time in
-# approx_entropy; the counts do not depend on them. With 8 words a block's
+# approx_entropy, which raises them to at least m rows and ceil(m / 64)
+# words when m is larger; the counts do not depend on them. With 8 words a block's
 # arrays stay under 128 KB, below which glibc reuses freed heap; at 16
 # words every n=1024 call faulted in about 200 fresh pages and took about
 # 1.4 times as long (2-CPU Xeon).
@@ -237,12 +238,10 @@ def _shifted(related: np.ndarray, k: int, span: int, size: int) -> np.ndarray:
     return moved
 
 
-def _row_counts(match: np.ndarray, span: int, rows: int) -> np.ndarray:
-    """The set bits of each of the first ``rows`` rows of a match block.
-
-    A row holds at most ``64 * _BLOCK_WORDS`` columns, fewer than 2**16.
-    """
-    return np.bitwise_count(match).reshape(-1, span)[:, :rows].sum(axis=0, dtype=np.uint16)
+def _row_counts(match: np.ndarray, span: int, rows: int, dtype) -> np.ndarray:
+    """The set bits of each of the first ``rows`` rows of a match block,
+    summed in ``dtype``, which must hold a row's number of columns."""
+    return np.bitwise_count(match).reshape(-1, span)[:, :rows].sum(axis=0, dtype=dtype)
 
 
 def entropy_tolerance(series, r_factor: float) -> float:
@@ -299,8 +298,16 @@ def approx_entropy(series, m: int = DEFAULT_M, r: float | None = None) -> float:
     count = n - m + 1  # templates of length m; there is one fewer of length m + 1
     hits_m = np.zeros(count, dtype=np.intp)
     hits_longer = np.zeros(count - 1, dtype=np.intp)
-    width = min(_BLOCK_WORDS, -(-count // 64))  # words of template columns per block
-    words = width + -(-m // 64)  # and of the columns a shift by k <= m brings in
+    # A shift by k <= m brings in the columns of up to `spill` more words,
+    # and m relation rows past each block of rows. Blocks at least that
+    # large keep the m shift-ANDs per block from dominating at large m.
+    # The column blocks share the template columns' words about evenly.
+    spill = -(-m // 64)
+    columns = -(-count // 64)
+    width = -(-columns // max(1, columns // max(_BLOCK_WORDS, spill)))  # words a block
+    words = width + spill
+    rows = max(_BLOCK_ROWS, m)
+    tally = np.min_scalar_type(64 * width)  # holds any row's count
     seen = np.empty(n + 1, dtype=np.min_scalar_type(64 * words))
     for first_column in range(0, count, 64 * width):
         # Row t of the table is the bitset of the block's first t columns
@@ -317,8 +324,8 @@ def approx_entropy(series, m: int = DEFAULT_M, r: float | None = None) -> float:
         seen[:] = 0
         seen[at + 1] = 1
         np.cumsum(seen, out=seen)
-        for start in range(0, count, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, count)
+        for start in range(0, count, rows):
+            stop = min(start + rows, count)
             # Relation rows start .. stop + m - 1 (at most n - 1): the template
             # at i reads samples i .. i + m at length m + 1. The m spare
             # words past the grid keep every shifted slice in bounds; what a
@@ -332,10 +339,10 @@ def approx_entropy(series, m: int = DEFAULT_M, r: float | None = None) -> float:
             match = related[:size]
             for k in range(1, m):
                 match = match & _shifted(related, k, span, size)
-            hits_m[start:stop] += _row_counts(match, span, stop - start)
+            hits_m[start:stop] += _row_counts(match, span, stop - start, tally)
             longer = min(stop, count - 1) - start
             hits_longer[start : start + longer] += _row_counts(
-                match & _shifted(related, m, span, size), span, longer
+                match & _shifted(related, m, span, size), span, longer, tally
             )
 
     def phi(hits: np.ndarray, mm: int) -> float:

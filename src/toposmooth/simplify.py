@@ -69,14 +69,21 @@ def _retained(diagram: PersistenceDiagram, policy: SimplifyPolicy) -> np.ndarray
         # The pairs are sorted by persistence, so the removed ones are a prefix.
         keep[: np.searchsorted(persistence, policy.value, "left")] = False
     elif isinstance(policy, Fraction):
+        # Remove the first `cut` pairs in (persistence, width, birth) order.
         # Equal-persistence pairs can nest; the narrower (inner) interval
         # must be removed first or flattening the outer one would destroy a
         # retained pair. Nesting implies p_inner <= p_outer, so ordering
         # ties by interval width keeps every rank prefix structurally
-        # removable.
-        width = np.abs(diagram.death_index - diagram.birth_index)
-        ranked = np.lexsort((diagram.birth_index, width, persistence))
-        keep[ranked[: math.floor(policy.value * len(diagram))]] = False
+        # removable. The pairs are sorted by persistence, ties by birth, so
+        # only the tie group at the cut needs ordering, and a stable sort
+        # by width keeps its births in order.
+        cut = math.floor(policy.value * len(diagram))
+        if cut:
+            first = int(np.searchsorted(persistence, persistence[cut - 1], "left"))
+            ties = slice(first, int(np.searchsorted(persistence, persistence[cut - 1], "right")))
+            width = np.abs(diagram.death_index[ties] - diagram.birth_index[ties])
+            keep[:first] = False
+            keep[first + np.argsort(width, kind="stable")[: cut - first]] = False
     else:
         raise TypeError(f"unknown policy {policy!r}")
     return keep

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 from hypothesis import strategies as st
+
+from toposmooth import persistence
 
 # Small-integer series are plateau- and tie-rich, which is where the
 # topology is hardest; float series cover the generic case.
@@ -66,3 +70,27 @@ def random_diagram(rng: np.random.Generator, max_points: int = 5) -> list[tuple[
         p = float(np.round(rng.uniform(0.05, 6), 2))
         out.append((b, b + p))
     return out
+
+
+# How diagram_of's sweep splits its work between whole-array rounds and
+# the loop, as (_ROUND_MIN, _ROUND_SHARE): as shipped; the loop alone;
+# rounds until no maximum is left; and rounds from the first maximum,
+# handed over to the loop once a round would pair fewer than half of the
+# maxima left.
+SWEEP_MODES = {
+    "default": (persistence._ROUND_MIN, persistence._ROUND_SHARE),
+    "loop_only": (2**62, 1),
+    "all_rounds": (1, 2**62),
+    "handover": (1, 2),
+}
+
+
+@contextmanager
+def sweep_mode(name: str):
+    """Run diagram_of's sweep in one of ``SWEEP_MODES`` inside the block."""
+    saved = persistence._ROUND_MIN, persistence._ROUND_SHARE
+    persistence._ROUND_MIN, persistence._ROUND_SHARE = SWEEP_MODES[name]
+    try:
+        yield
+    finally:
+        persistence._ROUND_MIN, persistence._ROUND_SHARE = saved

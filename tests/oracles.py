@@ -335,6 +335,20 @@ def _pav(values):
     return np.repeat(means, weights)
 
 
+def fraction_kept(diagram, fraction: float) -> np.ndarray:
+    """Which pairs of a diagram ``Fraction(fraction)`` keeps, by one full sort.
+
+    Ranks every pair by (persistence, interval width, birth index) in one
+    three-key lexsort and removes the floor(fraction * m) first; True marks
+    a kept pair.
+    """
+    width = np.abs(diagram.death_index - diagram.birth_index)
+    ranked = np.lexsort((diagram.birth_index, width, diagram.persistence))
+    keep = np.ones(len(diagram), dtype=bool)
+    keep[ranked[: math.floor(fraction * len(diagram))]] = False
+    return keep
+
+
 def simplify_anchors(n: int, pairs, essential_min_index: int, policy) -> list[int]:
     """Sorted anchors of a topological simplification of an n-sample series.
 

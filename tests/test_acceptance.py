@@ -10,7 +10,7 @@ import json
 import time
 
 import numpy as np
-from helpers import random_diagram, random_values
+from helpers import random_diagram, random_values, sweep_mode
 from oracles import (
     exhaustive_bottleneck,
     exhaustive_wasserstein1,
@@ -70,6 +70,24 @@ def test_persistence_oracle_exhaustive():
         assert diagram.essential_min_index == expected_essential, values
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
+
+
+@criterion(1, "persistence matches the tracker on all 4^8 series with the sweep's rounds forced")
+def test_persistence_oracle_exhaustive_with_rounds():
+    # Length-8 series have at most three interior maxima, which the
+    # default sweep pairs in its loop; these modes pair them in rounds.
+    for digits in itertools.product(range(4), repeat=8):
+        values = [float(d) for d in digits]
+        expected_pairs, expected_essential = sublevel_pairs(values)
+        for mode in ("all_rounds", "handover"):
+            with sweep_mode(mode):
+                diagram = diagram_of(values)
+            got = sorted(
+                (p.birth_index, p.death_index, p.birth_value, p.death_value)
+                for p in diagram.pairs
+            )
+            assert got == sorted(expected_pairs), (mode, values)
+            assert diagram.essential_min_index == expected_essential, (mode, values)
 
 
 @criterion(2, "isotonic fit matches brute-force monotone projection (gap <= 1e-9)")

@@ -422,6 +422,18 @@ class TestApproxEntropy:
         for values, r in ((walk, 0.2 * float(np.std(walk, ddof=1))), (steps, 1.0)):
             assert approx_entropy(values, m=m, r=r) == apen_dense(values, m, r)
 
+    @pytest.mark.parametrize("n, m", [(1200, 100), (600, 400), (1400, 1100)])
+    def test_equals_dense_kernel_at_large_m(self, n, m):
+        # Default blocks. At n = 1200 the 18 words of template columns split
+        # into two blocks of 9 and the rows into two blocks. At m = 400 and
+        # 1100 the spill of ceil(m / 64) words is wider than the template
+        # columns, and at m = 1100 the row block grows past _BLOCK_ROWS.
+        rng = np.random.default_rng(m)
+        walk = np.cumsum(rng.normal(0.0, 1.0, n))
+        steps = rng.integers(0, 3, n).astype(float)
+        for values, r in ((walk, 0.2 * float(np.std(walk, ddof=1))), (steps, 1.0)):
+            assert approx_entropy(values, m=m, r=r) == apen_dense(values, m, r)
+
     def test_rejects_bad_arguments(self):
         series = TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0])
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
-from helpers import any_series
+from helpers import SWEEP_MODES, any_series, sweep_mode
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import sublevel_pairs
 
-from toposmooth import TimeSeries, classify_extrema, diagram_of
+from toposmooth import TimeSeries, classify_extrema, diagram_of, generate_synthetic
 
 
 def pair_tuples(diagram):
@@ -87,6 +90,53 @@ def test_pairs_sorted_by_persistence_then_birth():
 @given(any_series)
 def test_matches_sublevel_tracker_oracle(values):
     assert_matches_oracle(values)
+
+
+@settings(max_examples=300)
+@given(any_series, st.sampled_from(["all_rounds", "handover"]))
+def test_rounds_match_sublevel_tracker_oracle(values, mode):
+    with sweep_mode(mode):
+        assert_matches_oracle(values)
+
+
+def zigzag(n: int, slope: float) -> np.ndarray:
+    """Alternating 0, 1 on a line: every maximum is above (or below) the last."""
+    return np.arange(n) % 2 + slope * np.arange(n)
+
+
+@functools.cache
+def long_series() -> dict:
+    rising, falling = zigzag(5001, 0.01), zigzag(5001, -0.01)
+    sine = generate_synthetic("noisy_sine", 131072, 7).values
+    cases = {
+        "rising_zigzag": rising,
+        "falling_zigzag": falling,
+        "v_shape": np.concatenate((falling, rising[1:])),
+        "tent": np.concatenate((rising, falling[1:] + falling[0] - rising[-1])),
+        "rounded_noisy_sine": np.round(sine),
+    }
+    for kind in ("spike_train", "noisy_sine", "random_walk"):
+        cases[kind] = generate_synthetic(kind, 131072, 7).values
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(long_series()))
+def test_rounds_equal_the_loop_on_long_series(case):
+    # The zigzags pair one maximum per round, at an end of the sequence or
+    # (the V and the tent) in its middle, so by default they stay on the
+    # loop. The noisy n=131072 series pair about a third of their maxima
+    # per round at first, and by default the loop takes over midway.
+    values = long_series()[case]
+    with sweep_mode("loop_only"):
+        expected = diagram_of(values)
+    columns = ("birth_index", "death_index", "birth_value", "death_value")
+    for mode in SWEEP_MODES:
+        with sweep_mode(mode):
+            got = diagram_of(values)
+        for column in columns:
+            a, b = getattr(expected, column), getattr(got, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (mode, column)
+        assert got.essential_min_index == expected.essential_min_index
 
 
 @given(any_series)

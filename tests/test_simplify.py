@@ -1,11 +1,18 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
 from helpers import any_series, int_series, normal_series, plateau_series, random_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import isotonic_best, refit_segments, simplify_all_segments, simplify_anchors
+from oracles import (
+    fraction_kept,
+    isotonic_best,
+    refit_segments,
+    simplify_all_segments,
+    simplify_anchors,
+)
 
 from toposmooth import (
     Fraction,
@@ -88,6 +95,19 @@ class TestSelectPairs:
             assert keys == sorted(keys)
         assert set(retained) | set(removed) == set(d.pairs)
         assert not set(retained) & set(removed)
+
+    @settings(max_examples=300)
+    @given(plateau_series)
+    def test_fraction_orders_only_the_tie_group_at_the_cut(self, values):
+        # Every cut from 0 to m: none, all, and each place inside a group of
+        # equal persistence, where the narrower intervals go first.
+        d = diagram_of(values)
+        m = len(d)
+        for cut in range(m + 1):
+            fraction = 0.0 if cut == 0 else 1.0 if cut == m else (cut + 0.5) / m
+            assert math.floor(fraction * m) == cut
+            keep = simplify_module._retained(d, Fraction(fraction))
+            assert keep.tolist() == fraction_kept(d, fraction).tolist(), cut
 
 
 class TestIsotonic:
