@@ -34,7 +34,7 @@ from .metrics import (
     norm_linf,
     wasserstein1,
 )
-from .persistence import ExtremaPair, PersistenceDiagram, diagram_of
+from .persistence import PersistenceDiagram, diagram_of
 from .series import Extrema, TimeSeries, classify_extrema
 from .simplify import Fraction, Threshold, isotonic_fit, select_pairs, simplify
 from .synth import generate_synthetic
@@ -46,7 +46,6 @@ __all__ = [
     "EvaluationError",
     "EvaluationResult",
     "Extrema",
-    "ExtremaPair",
     "FitLine",
     "Fraction",
     "PersistenceDiagram",

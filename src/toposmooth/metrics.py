@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import TimeSeries, sample_std
+from .series import TimeSeries, integer_argument, sample_std
 
 # Template rows, and 64-bit words of template columns, counted at a time in
 # approx_entropy, which raises them to at least m rows and ceil(m / 64)
@@ -253,8 +253,9 @@ def entropy_tolerance(series, r_factor: float) -> float:
 
 
 def check_entropy_arguments(m: int, r: float, n: int) -> None:
-    """Refuse, in this order, ``m`` below 1, ``r`` not finite and > 0, and ``n <= m + 1``."""
-    if m < 1:
+    """Refuse, in this order, ``m`` not an integer or below 1, ``r`` not
+    finite and > 0, and ``n <= m + 1``."""
+    if integer_argument("m", m) < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not (0 < r < np.inf):
         raise ValueError(f"r must be finite and > 0, got {r}")
@@ -293,6 +294,7 @@ def approx_entropy(series, m: int = DEFAULT_M, r: float | None = None) -> float:
         r = entropy_tolerance(series, DEFAULT_R_FACTOR)
     n = len(x)
     check_entropy_arguments(m, r, n)
+    m = int(m)  # _shifted's uint64 words have no shift by a signed numpy integer
 
     position, lo, hi = _run_ends(x, r)
     count = n - m + 1  # templates of length m; there is one fewer of length m + 1

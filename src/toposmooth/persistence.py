@@ -34,7 +34,7 @@ from .series import TimeSeries, classify_extrema
 
 @dataclass(frozen=True)
 class ExtremaPair:
-    """A (local minimum, local maximum) pair with finite persistence."""
+    """A (local minimum, local maximum) pair, kept only until perfbench reads columns."""
 
     birth_index: int
     death_index: int
@@ -71,7 +71,7 @@ class PersistenceDiagram:
 
     @cached_property
     def pairs(self) -> tuple[ExtremaPair, ...]:
-        """The pairs as objects holding Python ints and floats, built once on demand."""
+        """The pairs as ExtremaPair objects, built once on demand, for perfbench only."""
         columns = (self.birth_index, self.death_index, self.birth_value, self.death_value)
         return tuple(map(ExtremaPair, *(c.tolist() for c in columns)))
 
@@ -81,8 +81,8 @@ class PersistenceDiagram:
 
 
 # A round is a few numpy passes over the extrema left; the loop is a Python
-# step per pair. Rounds run while at least _ROUND_MIN maxima are left and a
-# round pairs at least 1/_ROUND_SHARE of them; the loop pairs the rest. On
+# step per pair. A round runs on at least _ROUND_MIN maxima, and only if it
+# pairs at least 1/_ROUND_SHARE of them; the loop pairs the rest. On
 # the seed-7 synthetics (2-CPU Xeon) the loop was faster at n = 1024 (about
 # 340 maxima) and rounds from n = 4096 (about 1360); at n = 131072 shares
 # of 1/8 to 1/64 timed alike, while 1/4 left the random walk's envelope to
@@ -136,40 +136,38 @@ def _sweep(value: np.ndarray, is_min: np.ndarray) -> tuple[np.ndarray, np.ndarra
     will change first. Like the loop, it pairs with the higher of its two
     minima (the right one on a tie), and both leave the sequence. The
     maxima of one round are never neighbours, so their triples are
-    disjoint. The loop pairs what the rounds leave. Slots increase with
-    sample index, so (value, slot) orders like (value, index).
+    disjoint. No round runs on fewer than ``_ROUND_MIN`` maxima, so a short
+    sequence goes to the loop whole; the loop pairs what the rounds leave.
+    Slots increase with sample index, so (value, slot) orders like (value, index).
 
     Returns (maximum slots, dying slots), ordered by dying slot.
     """
     first = 0 if is_min[0] else 1
     value = value[first : len(value) - (not is_min[-1])]
-    if len(value) // 2 < _ROUND_MIN:
-        death = _loop(value)
-    else:
-        death = np.full(len(value), -1, dtype=np.intp)
-        mins = np.arange(0, len(value), 2)
-        maxs = mins[:-1] + 1
-        bottom, top = value[mins], value[maxs]
-        while len(top) >= _ROUND_MIN:
-            # Equal maxima: the left one has the smaller key.
-            low = np.ones(len(top), dtype=bool)
-            np.less(top[1:], top[:-1], out=low[1:])
-            low[:-1] &= top[:-1] <= top[1:]
-            merging = np.flatnonzero(low)
-            if len(merging) * _ROUND_SHARE < len(top):
-                break
-            dead = merging + (bottom[merging] <= bottom[merging + 1])
-            death[mins[dead]] = maxs[merging]
-            alive = np.ones(len(mins), dtype=bool)
-            alive[dead] = False
-            mins, bottom = mins[alive], bottom[alive]
-            np.logical_not(low, out=low)
-            maxs, top = maxs[low], top[low]
-        sequence = np.empty(2 * len(mins) - 1, dtype=np.intp)
-        sequence[0::2], sequence[1::2] = mins, maxs
-        tail = _loop(value[sequence])
-        dying = np.flatnonzero(tail >= 0)
-        death[sequence[dying]] = sequence[tail[dying]]
+    death = np.full(len(value), -1, dtype=np.intp)
+    mins = np.arange(0, len(value), 2)
+    maxs = mins[:-1] + 1
+    bottom, top = value[mins], value[maxs]
+    while len(top) >= _ROUND_MIN:
+        # Equal maxima: the left one has the smaller key.
+        low = np.ones(len(top), dtype=bool)
+        np.less(top[1:], top[:-1], out=low[1:])
+        low[:-1] &= top[:-1] <= top[1:]
+        merging = np.flatnonzero(low)
+        if len(merging) * _ROUND_SHARE < len(top):
+            break
+        dead = merging + (bottom[merging] <= bottom[merging + 1])
+        death[mins[dead]] = maxs[merging]
+        alive = np.ones(len(mins), dtype=bool)
+        alive[dead] = False
+        mins, bottom = mins[alive], bottom[alive]
+        np.logical_not(low, out=low)
+        maxs, top = maxs[low], top[low]
+    sequence = np.empty(2 * len(mins) - 1, dtype=np.intp)
+    sequence[0::2], sequence[1::2] = mins, maxs
+    tail = _loop(value[sequence])
+    dying = np.flatnonzero(tail >= 0)
+    death[sequence[dying]] = sequence[tail[dying]]
     dying = np.flatnonzero(death >= 0)
     return death[dying] + first, dying + first
 

@@ -177,3 +177,14 @@ def sample_std(values: np.ndarray) -> float:
     if not np.isfinite(std):
         raise ValueError("sample standard deviation overflowed (values too large for float64)")
     return std
+
+
+def integer_argument(name: str, value) -> int:
+    """``value`` as a Python int if it is a Python or numpy integer, else a ValueError.
+
+    A float is refused even when integral, and a bool is refused too, so
+    no argument is silently truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -53,10 +53,10 @@ SimplifyPolicy = Threshold | Fraction
 
 # Samples refitted per isotonic_fit call in simplify, which holds three
 # Python lists (samples, means, weights) of up to this many entries. On
-# perfbench's smooth_topo_n131072 (seed 7, two 10 s runs, 2-CPU Xeon),
-# 2**14-sample batches kept the peak RSS at 68.7-68.8 MB, while one batch
-# of every segment raised it to 75.0-75.2 MB at the same speed, and one
-# call per segment held 68.3 MB but ran 5 times slower.
+# perfbench's smooth_topo_n131072 (seed 7, two 8 s runs, 2-CPU Xeon),
+# 2**14-sample batches kept the peak RSS at 66.0 MB, while one batch of
+# every segment raised it to 76.0-76.1 MB and was no faster, and one call
+# per segment held 65.1-65.2 MB but ran 6.6-7 times slower.
 # The fit does not depend on it.
 _PAV_SAMPLES = 2**14
 
@@ -92,7 +92,7 @@ def _retained(diagram: PersistenceDiagram, policy: SimplifyPolicy) -> np.ndarray
 def select_pairs(
     diagram: PersistenceDiagram, policy: SimplifyPolicy
 ) -> tuple[tuple[ExtremaPair, ...], tuple[ExtremaPair, ...]]:
-    """Split the diagram's pairs into (retained, removed) under a policy.
+    """Split the pairs into (retained, removed) objects, kept only until perfbench reads columns.
 
     Both halves keep the diagram's order: ascending persistence, ties by
     ascending birth index.
@@ -112,6 +112,8 @@ def isotonic_fit(values, *, starts=None) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("isotonic_fit expects a non-empty 1D sequence")
+    if not np.isfinite(x).all():
+        raise ValueError("isotonic_fit expects finite values")
     bounds = np.append(np.asarray([0] if starts is None else starts), len(x))
     if bounds.dtype.kind != "i" or bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
         raise ValueError("starts must be integers increasing from 0 below the length")

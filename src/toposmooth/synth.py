@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, integer_argument
 
 KINDS = ("spike_train", "noisy_sine", "random_walk")
 
@@ -18,10 +18,11 @@ SPIKE_NOISE_SCALE = 1.0
 
 
 def generate_synthetic(kind: str, n: int, seed: int) -> TimeSeries:
-    """Generate one synthetic series; ``n`` must be >= 16."""
+    """Generate one synthetic series; ``n`` (at least 16) and ``seed`` are integers."""
     key = kind.replace("-", "_").lower()
     if key not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    n, seed = integer_argument("n", n), integer_argument("seed", seed)
     if n < 16:
         raise ValueError(f"n must be >= 16, got {n}")
     if not (0 <= seed < 2**64):

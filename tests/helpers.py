@@ -52,6 +52,18 @@ tie_rich_diagram_points = st.lists(
 )
 
 
+PAIR_COLUMNS = ("birth_index", "death_index", "birth_value", "death_value")
+
+
+def diagram_rows(diagram, *columns, where=slice(None)) -> list[tuple]:
+    """The named columns of a diagram's pairs as rows of Python numbers.
+
+    Rows keep the diagram's order; ``where`` (a boolean mask or a slice)
+    selects some of them. ``persistence`` is a column too.
+    """
+    return list(zip(*(getattr(diagram, name)[where].tolist() for name in columns)))
+
+
 def random_values(rng: np.random.Generator, n: int) -> np.ndarray:
     """Mixed-style random series: smooth, noisy, or coarsely quantized."""
     style = rng.integers(0, 3)

@@ -177,6 +177,36 @@ def exhaustive_bottleneck(a, b) -> float:
     return min(w for _, w in _all_matchings(list(a), list(b)))
 
 
+def nearest_cost_bound(c1, c2) -> float:
+    """The largest min(half-persistence, nearest cross cost) over all points."""
+
+    def nearest(a, b):
+        return [
+            min([(d - bd) / 2.0] + [max(abs(bd - b2), abs(d - d2)) for b2, d2 in b])
+            for bd, d in a
+        ]
+
+    return max(nearest(c1, c2) + nearest(c2, c1), default=0.0)
+
+
+def lower_bound(c1, c2) -> float:
+    """The nearest-cost bound, raised to the count bound: at least |m - n|
+    points of the larger diagram take the diagonal."""
+    larger, smaller = (c1, c2) if len(c1) >= len(c2) else (c2, c1)
+    excess = len(larger) - len(smaller)
+    halves = sorted((d - b) / 2.0 for b, d in larger)
+    return max(nearest_cost_bound(c1, c2), halves[excess - 1] if excess else 0.0)
+
+
+def covers_rows_exhaustive(adjacent) -> bool:
+    """Is there an injective choice of an adjacent column for every row?"""
+    rows, cols = adjacent.shape
+    return any(
+        all(adjacent[i, j] for i, j in enumerate(choice))
+        for choice in permutations(range(cols), rows)
+    )
+
+
 def apen_direct(values, m: int, r: float) -> float:
     """Approximate entropy straight from the definition (self-matches in)."""
     x = [float(v) for v in values]
@@ -349,29 +379,26 @@ def fraction_kept(diagram, fraction: float) -> np.ndarray:
     return keep
 
 
-def simplify_anchors(n: int, pairs, essential_min_index: int, policy) -> list[int]:
+def simplify_anchors(n: int, diagram, policy) -> list[int]:
     """Sorted anchors of a topological simplification of an n-sample series.
 
-    ``pairs`` are a diagram's pairs (objects with ``birth_index``,
-    ``death_index`` and ``persistence``) in diagram order and ``policy`` is
-    a ``Threshold`` or a ``Fraction``. A threshold removes every pair
-    below it; a fraction removes the floor(q * m) first pairs in
-    (persistence, interval width, birth index) order. The anchors are both
-    boundary samples, the essential minimum and the ends of every retained
-    pair.
+    ``diagram`` is the series' persistence diagram and ``policy`` is a
+    ``Threshold`` or a ``Fraction``. A threshold removes every pair below
+    it; a fraction removes the floor(q * m) first pairs in (persistence,
+    interval width, birth index) order. The anchors are both boundary
+    samples, the essential minimum and the ends of every retained pair.
     """
+    columns = (diagram.birth_index, diagram.death_index, diagram.persistence)
+    pairs = list(zip(*(c.tolist() for c in columns)))
     if type(policy).__name__ == "Threshold":
-        retained = [p for p in pairs if not p.persistence < policy.value]
+        retained = [(b, d) for b, d, p in pairs if not p < policy.value]
     else:
-        ranked = sorted(
-            pairs,
-            key=lambda p: (p.persistence, abs(p.death_index - p.birth_index), p.birth_index),
-        )
-        removed = set(ranked[: math.floor(policy.value * len(pairs))])
-        retained = [p for p in pairs if p not in removed]
+        ranked = sorted(pairs, key=lambda pair: (pair[2], abs(pair[1] - pair[0]), pair[0]))
+        # Births are unique, so a birth index names its pair.
+        removed = {b for b, _, _ in ranked[: math.floor(policy.value * len(pairs))]}
+        retained = [(b, d) for b, d, _ in pairs if b not in removed]
     return sorted(
-        {0, n - 1, essential_min_index}
-        | {i for p in retained for i in (p.birth_index, p.death_index)}
+        {0, n - 1, diagram.essential_min_index} | {i for pair in retained for i in pair}
     )
 
 
@@ -398,7 +425,7 @@ def refit_segments(values, anchors) -> np.ndarray:
     return out
 
 
-def simplify_all_segments(values, pairs, essential_min_index: int, policy) -> np.ndarray:
+def simplify_all_segments(values, diagram, policy) -> np.ndarray:
     """Topological simplification refitting every segment between anchors."""
-    anchors = simplify_anchors(len(values), pairs, essential_min_index, policy)
+    anchors = simplify_anchors(len(values), diagram, policy)
     return refit_segments(values, anchors)

@@ -10,7 +10,7 @@ import json
 import time
 
 import numpy as np
-from helpers import random_diagram, random_values, sweep_mode
+from helpers import PAIR_COLUMNS, diagram_rows, random_diagram, random_values, sweep_mode
 from oracles import (
     exhaustive_bottleneck,
     exhaustive_wasserstein1,
@@ -31,12 +31,12 @@ from toposmooth import (
     generate_synthetic,
     isotonic_fit,
     median_filter,
-    select_pairs,
     simplify,
     uniform_subsample,
     wasserstein1,
 )
 from toposmooth.cli import main
+from toposmooth.simplify import _retained
 
 
 def criterion(number: int, description: str):
@@ -61,10 +61,7 @@ def test_persistence_oracle_exhaustive():
     for digits in itertools.product(range(4), repeat=8):
         values = [float(d) for d in digits]
         diagram = diagram_of(values)
-        got = sorted(
-            (p.birth_index, p.death_index, p.birth_value, p.death_value)
-            for p in diagram.pairs
-        )
+        got = sorted(diagram_rows(diagram, *PAIR_COLUMNS))
         expected_pairs, expected_essential = sublevel_pairs(values)
         assert got == sorted(expected_pairs), values
         assert diagram.essential_min_index == expected_essential, values
@@ -82,10 +79,7 @@ def test_persistence_oracle_exhaustive_with_rounds():
         for mode in ("all_rounds", "handover"):
             with sweep_mode(mode):
                 diagram = diagram_of(values)
-            got = sorted(
-                (p.birth_index, p.death_index, p.birth_value, p.death_value)
-                for p in diagram.pairs
-            )
+            got = sorted(diagram_rows(diagram, *PAIR_COLUMNS))
             assert got == sorted(expected_pairs), (mode, values)
             assert diagram.essential_min_index == expected_essential, (mode, values)
 
@@ -112,18 +106,18 @@ def test_simplification_consistency():
         series = TimeSeries(values)
         diagram = diagram_of(series)
         if rng.integers(0, 2):
-            max_p = max((p.persistence for p in diagram.pairs), default=1.0)
+            max_p = max(diagram.persistence.tolist(), default=1.0)
             policy = Threshold(float(rng.uniform(0.0, 1.2 * max_p)))
         else:
             policy = Fraction(float(rng.uniform(0.0, 1.0)))
-        retained, _ = select_pairs(diagram, policy)
+        keep = _retained(diagram, policy)
         out = simplify(series, policy)
-        got = sorted((p.birth_value, p.death_value) for p in diagram_of(out).pairs)
-        expected = sorted((p.birth_value, p.death_value) for p in retained)
+        got = sorted(diagram_rows(diagram_of(out), "birth_value", "death_value"))
+        expected = sorted(diagram_rows(diagram, "birth_value", "death_value", where=keep))
         assert got == expected, (values.tolist(), policy)
-        for pair in retained:
-            assert out.values[pair.birth_index] == values[pair.birth_index]
-            assert out.values[pair.death_index] == values[pair.death_index]
+        for birth, death in diagram_rows(diagram, "birth_index", "death_index", where=keep):
+            assert out.values[birth] == values[birth]
+            assert out.values[death] == values[death]
 
 
 @criterion(4, "diagram distances match the exhaustive matching oracle (<= 1e-9)")
@@ -152,7 +146,7 @@ def test_bottleneck_bound():
         values = random_values(rng, n)
         series = TimeSeries(values)
         diagram = diagram_of(series)
-        max_p = max((p.persistence for p in diagram.pairs), default=1.0)
+        max_p = max(diagram.persistence.tolist(), default=1.0)
         t = float(rng.uniform(0.0, 1.5 * max_p))
         after = diagram_of(simplify(series, Threshold(t)))
         assert bottleneck(diagram, after) <= t / 2.0

@@ -151,6 +151,26 @@ class TestSweep:
         assert len(points) == 2
         assert_no_child()
 
+    def test_numpy_integer_m_keeps_every_bit(self):
+        series = generate_synthetic("noisy_sine", 96, 5)
+        expected = repr(sweep(series, "median", [3, 5, 7], r=0.3, m=2))
+        for m in (np.int64(2), np.int32(2), np.uint8(2)):
+            assert repr(sweep(series, "median", [3, 5, 7], r=0.3, m=m)) == expected
+
+    @pytest.mark.parametrize("m", [2.5, "2", True])
+    def test_non_integer_m_refused_before_any_fork(self, monkeypatch, m):
+        forks = spy_on_fork(monkeypatch)
+        series = TimeSeries([0.0, 1.0, 0.5, 2.0] * 8)
+        for call in (
+            lambda: sweep(series, "median", [3, 5], m=m),
+            lambda: evaluate_series(series, m=m),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"m must be an integer, got {m!r}"
+        assert forks == []
+        assert_no_child()
+
     @pytest.mark.parametrize("death", ["exit", "raise"])
     def test_child_that_stops_mid_queue_changes_nothing(self, monkeypatch, death):
         # The caller scores the points whose results never came back.
@@ -404,6 +424,12 @@ class TestEvaluateSeries:
         a = canonical_json(report_to_dict(evaluate_series(series), config))
         b = canonical_json(report_to_dict(evaluate_series(series), config))
         assert a == b
+
+    def test_numpy_integer_m_gives_the_same_report(self, series):
+        config = {"m": 2, "r_factor": 0.2}
+        expected = canonical_json(report_to_dict(evaluate_series(series, m=2), config))
+        got = canonical_json(report_to_dict(evaluate_series(series, m=np.int32(2)), config))
+        assert got == expected
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError) as info:

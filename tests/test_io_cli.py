@@ -6,6 +6,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from helpers import PAIR_COLUMNS, diagram_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,9 +122,10 @@ def test_pairs_csv_is_the_pairs_one_per_line(tmp_path, name):
     path = tmp_path / "pairs.csv"
     write_pairs_csv(path, diagram)
     expected = ["birth_index,death_index,birth,death,persistence"] + [
-        f"{p.birth_index},{p.death_index},{fmt(p.birth_value)},"
-        f"{fmt(p.death_value)},{fmt(p.persistence)}"
-        for p in diagram.pairs
+        f"{birth},{death},{fmt(birth_value)},{fmt(death_value)},{fmt(persistence)}"
+        for birth, death, birth_value, death_value, persistence in diagram_rows(
+            diagram, *PAIR_COLUMNS, "persistence"
+        )
     ]
     assert path.read_text() == "\n".join(expected) + "\n"
     if name == "wider_than_floats":
@@ -166,6 +168,30 @@ class TestSynthetic:
             generate_synthetic("spike_train", 8, 0)
         with pytest.raises(ValueError):
             generate_synthetic("spike_train", 64, -1)
+
+    def test_numpy_integers_accepted_as_python_ones(self):
+        expected = generate_synthetic("noisy_sine", 20, 7)
+        for n, seed in ((np.int64(20), np.uint64(7)), (np.int32(20), np.int8(7))):
+            got = generate_synthetic("noisy_sine", n, seed)
+            assert got.label == expected.label == "noisy_sine-n20-seed7"
+            assert got.values.tobytes() == expected.values.tobytes()
+        top = generate_synthetic("spike_train", 16, np.uint64(2**64 - 1)).values
+        assert top.tobytes() == generate_synthetic("spike_train", 16, 2**64 - 1).values.tobytes()
+
+    @pytest.mark.parametrize(
+        "n,seed,message",
+        [
+            (20, 7.0, "seed must be an integer, got 7.0"),
+            (20, 1.5, "seed must be an integer, got 1.5"),
+            (20, True, "seed must be an integer, got True"),
+            (20.0, 7, "n must be an integer, got 20.0"),
+            ("20", 7, "n must be an integer, got '20'"),
+        ],
+    )
+    def test_non_integer_n_or_seed_refused(self, n, seed, message):
+        with pytest.raises(ValueError) as info:
+            generate_synthetic("noisy_sine", n, seed)
+        assert str(info.value) == message
 
 
 class TestSvg:

@@ -1,11 +1,17 @@
-from itertools import permutations
-
 import numpy as np
 import pytest
 from helpers import any_series, diagram_points, random_diagram, tie_rich_diagram_points
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import apen_dense, apen_direct, exhaustive_bottleneck, exhaustive_wasserstein1
+from oracles import (
+    apen_dense,
+    apen_direct,
+    covers_rows_exhaustive,
+    exhaustive_bottleneck,
+    exhaustive_wasserstein1,
+    lower_bound,
+    nearest_cost_bound,
+)
 
 import toposmooth
 from toposmooth import (
@@ -82,27 +88,6 @@ class TestNorms:
         a = TimeSeries(values)
         b = TimeSeries(list(reversed(values)))
         assert norm_linf(a, b) <= norm_l1(a, b) + 1e-12
-
-
-def nearest_cost_bound(c1, c2) -> float:
-    """The largest min(half-persistence, nearest cross cost) over all points."""
-
-    def nearest(a, b):
-        return [
-            min([(d - bd) / 2.0] + [max(abs(bd - b2), abs(d - d2)) for b2, d2 in b])
-            for bd, d in a
-        ]
-
-    return max(nearest(c1, c2) + nearest(c2, c1), default=0.0)
-
-
-def lower_bound(c1, c2) -> float:
-    """The nearest-cost bound, raised to the count bound: at least |m - n|
-    points of the larger diagram take the diagonal."""
-    larger, smaller = (c1, c2) if len(c1) >= len(c2) else (c2, c1)
-    excess = len(larger) - len(smaller)
-    halves = sorted((d - b) / 2.0 for b, d in larger)
-    return max(nearest_cost_bound(c1, c2), halves[excess - 1] if excess else 0.0)
 
 
 class TestDiagramDistances:
@@ -272,15 +257,6 @@ class TestDiagramDistances:
             assert abs(bottleneck(c1, c2) - exhaustive_bottleneck(c1, c2)) <= 1e-9
 
 
-def covers_rows_exhaustive(adjacent) -> bool:
-    """Is there an injective choice of an adjacent column for every row?"""
-    rows, cols = adjacent.shape
-    return any(
-        all(adjacent[i, j] for i, j in enumerate(choice))
-        for choice in permutations(range(cols), rows)
-    )
-
-
 class TestCoversRows:
     @pytest.mark.parametrize(
         "adjacent",
@@ -443,6 +419,19 @@ class TestApproxEntropy:
                 approx_entropy(series, m=2, r=r)
         with pytest.raises(ValueError):
             approx_entropy(TimeSeries([1.0, 2.0, 3.0]), m=2, r=0.5)
+
+    def test_numpy_integer_m_keeps_every_bit(self):
+        values = np.cumsum(np.random.default_rng(4).normal(0.0, 1.0, 300))
+        for m in (1, 2, 3, 65):
+            expected = approx_entropy(values, m=m, r=0.5).hex()
+            for numpy_m in (np.int64(m), np.int32(m), np.uint16(m)):
+                assert approx_entropy(values, m=numpy_m, r=0.5).hex() == expected
+
+    @pytest.mark.parametrize("m", [2.5, "2", True, np.float64(2.0)])
+    def test_rejects_m_that_is_not_an_integer(self, m):
+        with pytest.raises(ValueError) as info:
+            approx_entropy([1.0, 2.0, 3.0, 4.0, 5.0], m=m, r=0.5)
+        assert str(info.value) == f"m must be an integer, got {m!r}"
 
     @pytest.mark.parametrize("r", [0.5, None])
     def test_rejects_non_finite_sample(self, r):

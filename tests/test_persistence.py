@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from helpers import SWEEP_MODES, any_series, sweep_mode
+from helpers import PAIR_COLUMNS, SWEEP_MODES, any_series, diagram_rows, sweep_mode
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import sublevel_pairs
@@ -11,10 +11,7 @@ from toposmooth import TimeSeries, classify_extrema, diagram_of, generate_synthe
 
 
 def pair_tuples(diagram):
-    return sorted(
-        (p.birth_index, p.death_index, p.birth_value, p.death_value)
-        for p in diagram.pairs
-    )
+    return sorted(diagram_rows(diagram, *PAIR_COLUMNS))
 
 
 def assert_matches_oracle(values):
@@ -28,7 +25,7 @@ def test_six_point_example():
     # Oracle-derived: the two interior maxima pair with the two higher
     # minima; the global minimum at index 4 is essential.
     d = diagram_of([1, 5, 2, 4, 0, 3])
-    assert [(p.birth_index, p.death_index, p.persistence) for p in d.pairs] == [
+    assert diagram_rows(d, "birth_index", "death_index", "persistence") == [
         (2, 3, 2.0),
         (0, 1, 4.0),
     ]
@@ -38,7 +35,7 @@ def test_six_point_example():
 
 def test_four_point_example():
     d = diagram_of([0, 2, 1, 3])
-    assert [(p.birth_index, p.death_index, p.persistence) for p in d.pairs] == [
+    assert diagram_rows(d, "birth_index", "death_index", "persistence") == [
         (2, 1, 1.0)
     ]
     assert d.essential_min_index == 0
@@ -47,20 +44,20 @@ def test_four_point_example():
 
 def test_monotone_has_no_pairs():
     d = diagram_of([3, 2, 1])
-    assert d.pairs == ()
+    assert diagram_rows(d, *PAIR_COLUMNS) == []
     assert d.essential_min_index == 2
 
 
 def test_constant_series_has_no_pairs():
     d = diagram_of([5, 5, 5])
-    assert d.pairs == ()
+    assert diagram_rows(d, *PAIR_COLUMNS) == []
     assert d.essential_min_index == 0
 
 
 def test_equal_minima_tie_breaks_to_larger_index():
     # Both boundary minima sit at 0; the later-created component dies.
     d = diagram_of([0, 1, 0])
-    assert [(p.birth_index, p.death_index, p.persistence) for p in d.pairs] == [
+    assert diagram_rows(d, "birth_index", "death_index", "persistence") == [
         (2, 1, 1.0)
     ]
     assert d.essential_min_index == 0
@@ -68,8 +65,8 @@ def test_equal_minima_tie_breaks_to_larger_index():
 
 def test_two_equal_peaks():
     d = diagram_of([0, 4, 0, 4, 0])
-    assert sorted(p.persistence for p in d.pairs) == [4.0, 4.0]
-    assert len(d.pairs) == 2
+    assert sorted(d.persistence.tolist()) == [4.0, 4.0]
+    assert len(d) == 2
     assert d.essential_min_index == 0
 
 
@@ -82,7 +79,7 @@ def test_rejects_invalid_series():
 
 def test_pairs_sorted_by_persistence_then_birth():
     d = diagram_of([0, 3, 1, 4, 2, 5, 0, 6])
-    keys = [(p.persistence, p.birth_index) for p in d.pairs]
+    keys = diagram_rows(d, "persistence", "birth_index")
     assert keys == sorted(keys)
 
 
@@ -129,11 +126,10 @@ def test_rounds_equal_the_loop_on_long_series(case):
     values = long_series()[case]
     with sweep_mode("loop_only"):
         expected = diagram_of(values)
-    columns = ("birth_index", "death_index", "birth_value", "death_value")
     for mode in SWEEP_MODES:
         with sweep_mode(mode):
             got = diagram_of(values)
-        for column in columns:
+        for column in PAIR_COLUMNS:
             a, b = getattr(expected, column), getattr(got, column)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (mode, column)
         assert got.essential_min_index == expected.essential_min_index
@@ -143,7 +139,7 @@ def test_rounds_equal_the_loop_on_long_series(case):
 def test_pair_count_is_minima_minus_one(values):
     d = diagram_of(values)
     minima = int(np.count_nonzero(classify_extrema(TimeSeries(values)).is_min))
-    assert len(d.pairs) == minima - 1
+    assert len(d) == minima - 1
 
 
 @given(any_series)
@@ -167,21 +163,12 @@ def test_pairs_are_the_columns_as_python_numbers(values):
 def test_translation_and_scale_equivariance(values):
     base = diagram_of(values)
     shifted = diagram_of([v + 7.5 for v in values])
-    assert [(p.birth_index, p.death_index) for p in shifted.pairs] == [
-        (p.birth_index, p.death_index) for p in base.pairs
-    ]
-    assert np.allclose(
-        [p.birth_value for p in shifted.pairs],
-        [p.birth_value + 7.5 for p in base.pairs],
-    )
+    ends = ("birth_index", "death_index")
+    assert diagram_rows(shifted, *ends) == diagram_rows(base, *ends)
+    assert np.allclose(shifted.birth_value, base.birth_value + 7.5)
     scaled = diagram_of([v * 3.0 for v in values])
-    assert {(p.birth_index, p.death_index) for p in scaled.pairs} == {
-        (p.birth_index, p.death_index) for p in base.pairs
-    }
-    assert np.allclose(
-        sorted(p.persistence for p in scaled.pairs),
-        sorted(3.0 * p.persistence for p in base.pairs),
-    )
+    assert set(diagram_rows(scaled, *ends)) == set(diagram_rows(base, *ends))
+    assert np.allclose(np.sort(scaled.persistence), np.sort(3.0 * base.persistence))
     assert shifted.essential_min_index == base.essential_min_index
     assert scaled.essential_min_index == base.essential_min_index
 
@@ -189,10 +176,7 @@ def test_translation_and_scale_equivariance(values):
 @given(any_series)
 def test_pair_intervals_are_laminar(values):
     d = diagram_of(values)
-    intervals = [
-        (min(p.birth_index, p.death_index), max(p.birth_index, p.death_index))
-        for p in d.pairs
-    ]
+    intervals = [(min(b, e), max(b, e)) for b, e in diagram_rows(d, "birth_index", "death_index")]
     for a in intervals:
         for b in intervals:
             if a is b:
@@ -206,12 +190,14 @@ def test_pair_intervals_are_laminar(values):
 def test_no_index_reused_and_strict_amplitude(values):
     d = diagram_of(values)
     seen = set()
-    for p in d.pairs:
-        assert p.birth_value < p.death_value
-        assert p.persistence > 0
-        assert p.birth_index != p.death_index
-        assert p.birth_index not in seen and p.death_index not in seen
-        seen.update((p.birth_index, p.death_index))
+    for birth, death, birth_value, death_value, persistence in diagram_rows(
+        d, *PAIR_COLUMNS, "persistence"
+    ):
+        assert birth_value < death_value
+        assert persistence > 0
+        assert birth != death
+        assert birth not in seen and death not in seen
+        seen.update((birth, death))
 
 
 def test_complexity_dominated_by_extrema():
@@ -225,5 +211,5 @@ def test_complexity_dominated_by_extrema():
     start = time.perf_counter()
     diagram = diagram_of(series)
     elapsed = time.perf_counter() - start
-    assert len(diagram.pairs) >= 450
+    assert len(diagram) >= 450
     assert elapsed < 10.0

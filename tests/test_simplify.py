@@ -3,7 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from helpers import any_series, int_series, normal_series, plateau_series, random_values
+from helpers import (
+    any_series,
+    diagram_rows,
+    int_series,
+    normal_series,
+    plateau_series,
+    random_values,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -79,13 +86,12 @@ class TestSelectPairs:
         values = [-1.0, -1.5, 0.5, -1.5, -1.0, -1.0, 0.5, -3.0]
         series = TimeSeries(values)
         d = diagram_of(series)
-        nested = [p for p in d.pairs if p.persistence == 2.0]
-        assert len(nested) == 2
-        retained, removed = select_pairs(d, Fraction(0.5))
-        assert [(p.birth_index, p.death_index) for p in removed] == [(3, 2)]
+        assert np.count_nonzero(d.persistence == 2.0) == 2
+        keep = simplify_module._retained(d, Fraction(0.5))
+        assert diagram_rows(d, "birth_index", "death_index", where=~keep) == [(3, 2)]
         out = simplify(series, Fraction(0.5))
-        got = sorted((p.birth_value, p.death_value) for p in diagram_of(out).pairs)
-        assert got == sorted((p.birth_value, p.death_value) for p in retained)
+        got = sorted(diagram_rows(diagram_of(out), "birth_value", "death_value"))
+        assert got == sorted(diagram_rows(d, "birth_value", "death_value", where=keep))
 
     def test_ordering_ascending_persistence_then_birth(self):
         d = diagram_of([0, 3, 1, 4, 2, 5, 0, 6, 1, 3])
@@ -126,6 +132,14 @@ class TestIsotonic:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             isotonic_fit([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        for values in ([1.0, bad, 0.0], [bad]):
+            with pytest.raises(ValueError, match="isotonic_fit expects finite values"):
+                isotonic_fit(values)
+        with pytest.raises(ValueError, match="isotonic_fit expects finite values"):
+            isotonic_fit([1.0, 3.0, bad, 4.0], starts=[0, 2])
 
     @pytest.mark.parametrize("starts", [[], [1], [0, 0], [0, 3, 2], [0, 4], [0.0, 2.0]])
     def test_rejects_bad_starts(self, starts):
@@ -208,9 +222,9 @@ class TestSimplify:
     def test_threshold_monotonicity(self, values, t1, t2):
         t1, t2 = min(t1, t2), max(t1, t2)
         d = diagram_of(values)
-        retained_loose, _ = select_pairs(d, Threshold(t1))
-        retained_tight, _ = select_pairs(d, Threshold(t2))
-        assert set(retained_tight) <= set(retained_loose)
+        loose = simplify_module._retained(d, Threshold(t1))
+        tight = simplify_module._retained(d, Threshold(t2))
+        assert not np.any(tight & ~loose)
 
     @given(any_series)
     def test_zero_threshold_zero_residual(self, values):
@@ -236,24 +250,24 @@ def test_output_structure_random(seed):
         series = TimeSeries(values)
         d = diagram_of(series)
         if rng.integers(0, 2):
-            max_p = max((p.persistence for p in d.pairs), default=1.0)
+            max_p = max(d.persistence.tolist(), default=1.0)
             policy = Threshold(float(rng.uniform(0, 1.2 * max_p)))
         else:
             policy = Fraction(float(rng.uniform(0, 1)))
-        retained, _ = select_pairs(d, policy)
+        keep = simplify_module._retained(d, policy)
         out = simplify(series, policy)
 
         anchors = sorted(
             {0, n - 1, d.essential_min_index}
-            | {p.birth_index for p in retained}
-            | {p.death_index for p in retained}
+            | set(d.birth_index[keep].tolist())
+            | set(d.death_index[keep].tolist())
         )
         # Exact at anchors, monotone in between, diagram equals retained.
         for a in anchors:
             assert out.values[a] == values[a]
         _segments_monotone(out.values, anchors)
-        got = sorted((p.birth_value, p.death_value) for p in diagram_of(out).pairs)
-        expected = sorted((p.birth_value, p.death_value) for p in retained)
+        got = sorted(diagram_rows(diagram_of(out), "birth_value", "death_value"))
+        expected = sorted(diagram_rows(d, "birth_value", "death_value", where=keep))
         assert got == expected
 
 
@@ -270,7 +284,7 @@ def test_equals_all_segments_reference_bytes(values, by_threshold, q):
     d = diagram_of(series)
     top = float(np.max(d.persistence, initial=0.0))
     policy = Threshold(q * 1.1 * top) if by_threshold else Fraction(q)
-    expected = simplify_all_segments(values, d.pairs, d.essential_min_index, policy)
+    expected = simplify_all_segments(values, d, policy)
     assert simplify(series, policy).values.tobytes() == expected.tobytes()
 
 
@@ -300,8 +314,7 @@ def _bits(values) -> list[int]:
 
 
 def _per_segment(values, policy) -> np.ndarray:
-    d = diagram_of(values)
-    anchors = simplify_anchors(len(values), d.pairs, d.essential_min_index, policy)
+    anchors = simplify_anchors(len(values), diagram_of(values), policy)
     return refit_segments(values, anchors)
 
 
@@ -316,9 +329,8 @@ def test_refit_equals_per_segment_oracle_on_synthetic(kind, n):
             series = TimeSeries(np.round(series.values))
         value_range = float(np.ptp(series.values))
         d = diagram_of(series)
-        pairs = d.pairs
         for policy in (Fraction(0.5), Threshold(0.25 * value_range)):
-            anchors = simplify_anchors(n, pairs, d.essential_min_index, policy)
+            anchors = simplify_anchors(n, d, policy)
             expected = refit_segments(series.values, anchors)
             assert _bits(simplify(series, policy).values) == _bits(expected), (seed, policy)
 
@@ -368,8 +380,7 @@ def test_length_two_segments():
     # longer ones that the three smaller pairs leave to be refitted.
     values = [4.0, 0.0, 3.0, 1.0, 2.0, -1.0, 5.0, 4.0, 4.5, 3.9, 6.0]
     policy = Threshold(2.0)
-    d = diagram_of(values)
-    anchors = simplify_anchors(len(values), d.pairs, d.essential_min_index, policy)
+    anchors = simplify_anchors(len(values), diagram_of(values), policy)
     assert anchors == [0, 1, 2, 5, 10]
     out = simplify(TimeSeries(values), policy)
     assert _bits(out.values) == _bits(refit_segments(values, anchors))
