@@ -79,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", type=str, default=None)
     src.add_argument("--synth-kind", choices=CLI_KINDS, default=None)
-    p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=7)
+    # Filled in by _synth_defaults: given beside --input, they are refused.
+    p.add_argument("--n", type=int, default=None, help="with --synth-kind (default 1024)")
+    p.add_argument("--seed", type=int, default=None, help="with --synth-kind (default 7)")
     p.add_argument("--m", type=int, default=DEFAULT_M)
     p.add_argument("--r-factor", type=float, default=DEFAULT_R_FACTOR)
     p.add_argument("--out-dir", type=str, required=True)
@@ -116,8 +117,18 @@ def _expand_config(argv: list[str]) -> list[str]:
     return rest[: at + 1] + flags + rest[at + 1 :]
 
 
+def _synth_defaults(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse ``evaluate``'s --n or --seed beside --input; else fill in their defaults."""
+    for key, default in (("n", 1024), ("seed", 7)):
+        given = getattr(args, key) is not None
+        if given and args.input is not None:
+            parser.error(f"argument --{key}: not allowed with argument --input")
+        if not given and args.input is None:
+            setattr(args, key, default)
+
+
 def _load_input(args) -> TimeSeries:
-    if getattr(args, "input", None):
+    if args.input is not None:
         return load_csv(args.input)
     return generate_synthetic(args.synth_kind, args.n, args.seed)
 
@@ -158,7 +169,7 @@ def _cmd_evaluate(args) -> int:
         "methods": list(DEFAULT_METHODS),
         "m": args.m,
         "r_factor": args.r_factor,
-        "seed": args.seed if args.input is None else None,
+        "seed": args.seed,  # None with --input
         "n": len(series),
         "source": "csv" if args.input else args.synth_kind,
     }
@@ -199,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_expand_config(argv))
+        if args.command == "evaluate":
+            _synth_defaults(parser, args)
         return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import sys
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .metrics import (
     wasserstein1,
 )
 from .persistence import diagram_of
-from .series import TimeSeries
+from .series import TimeSeries, real_argument
 from .simplify import Fraction, Threshold, simplify
 
 METRIC_NAMES = ("l1", "linf", "w1", "bottleneck")
@@ -64,9 +64,9 @@ class Method(NamedTuple):
     grid: Callable[[int, float], list[float]] | None = None
 
     def __call__(self, series: TimeSeries, param) -> TimeSeries:
-        value = float(param)
         # Errors name the method as --method spells it.
         name = self.name.replace("_", "-")
+        value = float(real_argument(f"{name} parameter", param))
         if not math.isfinite(value):
             raise ValueError(f"{name} parameter must be finite, got {value}")
         if self.kind is int:
@@ -164,11 +164,10 @@ def default_grids(n: int, value_range: float) -> dict[str, list[float]]:
     return {name: METHODS[name].grid(n, value_range) for name in DEFAULT_METHODS}
 
 
-# Queue tokens are 4-byte group numbers, at most one page of them, all
-# written before the fork: a pipe holds at least a page, so the writer never
-# blocks, and each read of one token is whole. Longer lists group points.
-_TOKEN_BYTES = 4
-_QUEUE_TOKENS = 4096 // _TOKEN_BYTES
+# Queue tokens are one-byte group numbers, at most 256 of them, all written
+# before the fork: 256 bytes fit any pipe, so the writer never blocks, and
+# every read is whole. Longer lists group points.
+_QUEUE_TOKENS = 256
 
 
 def _may_fork() -> bool:
@@ -220,8 +219,8 @@ def _score_points(
     group = math.ceil(len(jobs) / _QUEUE_TOKENS)
 
     def pull():
-        while token := os.read(queue, _TOKEN_BYTES):
-            start = int.from_bytes(token, "little") * group
+        while token := os.read(queue, 1):
+            start = token[0] * group
             yield from range(start, min(start + group, len(jobs)))
 
     results: list[SweepPoint | str | None] = [None] * len(jobs)
@@ -229,16 +228,25 @@ def _score_points(
     queue, queue_end = os.pipe()
     try:
         with open(queue_end, "wb") as tokens:
-            tokens.write(b"".join(
-                k.to_bytes(_TOKEN_BYTES, "little") for k in range(math.ceil(len(jobs) / group))
-            ))
+            tokens.write(bytes(range(math.ceil(len(jobs) / group))))
         if _may_fork():
             returned, sent = os.pipe()
-            parent = os.getpid()
             child = os.fork()
             if child == 0:
-                os.close(returned)
-                _serve(pull(), score, sent, parent)
+                # The child sends back each result it scores and leaves by
+                # os._exit whatever happens, so it never runs the caller's
+                # code. Once the caller is gone, the result pipe has no
+                # reader, so the next flush raises and the child ends.
+                status = 1
+                try:
+                    os.close(returned)
+                    with open(sent, "wb") as out:
+                        for index in pull():
+                            pickle.dump((index, score(index)), out)
+                            out.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
             os.close(sent)
             back = open(returned, "rb")
         for index in pull():
@@ -264,25 +272,6 @@ def _score_points(
         result = score(k) if results[k] is None else results[k]
         scored[method][isinstance(result, str)].append(result)  # failures second
     return scored
-
-
-def _serve(indices, score, fd: int, parent: int) -> NoReturn:
-    """The forked child: pickle ``(index, score(index))`` down ``fd`` for each index.
-
-    It stops when its parent is gone, and leaves by ``os._exit`` whatever
-    happens, so it never runs the caller's code.
-    """
-    status = 1
-    try:
-        with open(fd, "wb") as out:
-            for index in indices:
-                if os.getppid() != parent:
-                    break
-                pickle.dump((index, score(index)), out)
-                out.flush()
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def sweep(

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, integer_argument
 
 
 def median_filter(series: TimeSeries, window: int) -> TimeSeries:
@@ -21,6 +21,7 @@ def median_filter(series: TimeSeries, window: int) -> TimeSeries:
     window holds the whole series, so its median lies between the first and
     last values, and widening it adds one copy of each, keeping that median.
     """
+    window = integer_argument("window", window)
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be an odd integer >= 1, got {window}")
     radius = min(window // 2, len(series) - 1)
@@ -60,6 +61,7 @@ def gaussian_filter(series: TimeSeries, sigma: float) -> TimeSeries:
 @np.errstate(over="ignore", invalid="ignore")
 def cutoff_filter(series: TimeSeries, keep_frequencies: int) -> TimeSeries:
     """Low-pass DFT filter: keep DC and bins 1..keep, zero the rest."""
+    keep_frequencies = integer_argument("keep_frequencies", keep_frequencies)
     if keep_frequencies < 0:
         raise ValueError(f"keep_frequencies must be >= 0, got {keep_frequencies}")
     n = len(series)
@@ -70,6 +72,7 @@ def cutoff_filter(series: TimeSeries, keep_frequencies: int) -> TimeSeries:
 
 def uniform_subsample(series: TimeSeries, stride: int) -> TimeSeries:
     """Keep every ``stride``-th sample (and the last), interpolate between."""
+    stride = integer_argument("stride", stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     n = len(series)

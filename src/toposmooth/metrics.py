@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import TimeSeries, integer_argument, sample_std
+from .series import TimeSeries, integer_argument, real_argument, sample_std
 
 # Template rows, and 64-bit words of template columns, counted at a time in
 # approx_entropy, which raises them to at least m rows and ceil(m / 64)
@@ -246,6 +246,7 @@ def _row_counts(match: np.ndarray, span: int, rows: int, dtype) -> np.ndarray:
 
 def entropy_tolerance(series, r_factor: float) -> float:
     """ApEn's tolerance r: ``r_factor`` times the sample std; a constant series has none."""
+    real_argument("r_factor", r_factor)
     std = sample_std(_values(series))
     if std == 0:
         raise ValueError("series is constant; entropy calibration undefined")
@@ -253,11 +254,11 @@ def entropy_tolerance(series, r_factor: float) -> float:
 
 
 def check_entropy_arguments(m: int, r: float, n: int) -> None:
-    """Refuse, in this order, ``m`` not an integer or below 1, ``r`` not
-    finite and > 0, and ``n <= m + 1``."""
+    """Refuse, in this order, ``m`` not an integer or below 1, ``r`` not a
+    real number or not finite and > 0, and ``n <= m + 1``."""
     if integer_argument("m", m) < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if not (0 < r < np.inf):
+    if not (0 < real_argument("r", r) < np.inf):
         raise ValueError(f"r must be finite and > 0, got {r}")
     if n <= m + 1:
         raise ValueError(f"series of length {n} too short for m={m}")

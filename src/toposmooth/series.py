@@ -9,6 +9,7 @@ run, which keeps the downstream pairing deterministic.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Sequence
@@ -188,3 +189,13 @@ def integer_argument(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def real_argument(name: str, value):
+    """``value`` itself if it is a real number, numpy's included, else a ValueError.
+
+    A bool and a numeric string are refused, so neither is taken as a number.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value

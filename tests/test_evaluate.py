@@ -1,8 +1,11 @@
 import fcntl
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +27,39 @@ from toposmooth import (
     sweep,
     wasserstein1,
 )
+import toposmooth
 from toposmooth import evaluate
 from toposmooth.evaluate import DEFAULT_METHODS, METHODS, METRIC_NAMES, SweepPoint, default_grids
 from toposmooth.io import canonical_json, report_to_dict
+
+SRC = Path(toposmooth.__file__).resolve().parent.parent
+
+# A sweep whose caller ends at its second point while the child sleeps
+# 1.5 s inside its first; it prints the child's pid when it forks.
+CALLER_THAT_DIES = """
+import os, time
+from toposmooth import evaluate, generate_synthetic, sweep
+
+caller, real_fork, real_entropy, calls = os.getpid(), os.fork, evaluate.approx_entropy, []
+
+def fork():
+    pid = real_fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+def entropy(*args, **kwargs):
+    if os.getpid() != caller:
+        time.sleep(1.5)
+    else:
+        calls.append(1)
+        if len(calls) == 2:
+            os._exit(0)
+    return real_entropy(*args, **kwargs)
+
+os.fork, evaluate.approx_entropy = fork, entropy
+sweep(generate_synthetic("noisy_sine", 160, 3), "median", [3, 5, 7, 9, 11, 13, 15, 17], r=0.3)
+"""
 
 
 def score_directly(series, method, grid, r):
@@ -64,6 +97,15 @@ def spy_on_fork(monkeypatch):
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def process_state(pid):
+    """The state letter in ``/proc/<pid>/stat``, or None once the process is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
 
 
 class TestSweep:
@@ -168,6 +210,19 @@ class TestSweep:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == f"m must be an integer, got {m!r}"
+        assert forks == []
+        assert_no_child()
+
+    @pytest.mark.parametrize("r", [True, "0.5"])
+    def test_non_real_r_refused_before_any_fork(self, monkeypatch, r):
+        forks = spy_on_fork(monkeypatch)
+        series = TimeSeries([0.0, 1.0, 0.5, 2.0] * 8)
+        with pytest.raises(ValueError) as info:
+            sweep(series, "median", [3], r=r)
+        assert str(info.value) == f"r must be a real number, got {r!r}"
+        with pytest.raises(ValueError) as info:
+            evaluate_series(series, r_factor=r)
+        assert str(info.value) == f"r_factor must be a real number, got {r!r}"
         assert forks == []
         assert_no_child()
 
@@ -286,6 +341,27 @@ class TestSweep:
             os.waitpid(pid, 0)
         assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
         assert_no_child()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_orphaned_child_ends_after_its_point(self):
+        # The caller ends while its child scores a point; once that point is
+        # done, the child's result has no reader, and the child ends too.
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a sweep forks only with two CPUs")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        caller = subprocess.Popen(
+            [sys.executable, "-c", CALLER_THAT_DIES], stdout=subprocess.PIPE, text=True, env=env
+        )
+        # One line, not up to EOF: the orphan still holds the pipe.
+        with caller.stdout:
+            pid = int(caller.stdout.readline())
+        assert caller.wait(timeout=30) == 0
+        deadline = time.monotonic() + 10.0
+        while (state := process_state(pid)) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if state not in (None, "Z"):
+            os.kill(pid, signal.SIGKILL)
+        assert state in (None, "Z")
 
     def test_constant_series_default_tolerance_rejected(self):
         with pytest.raises(ValueError) as info:

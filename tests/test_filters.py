@@ -20,6 +20,7 @@ from toposmooth import (
     median_filter,
     uniform_subsample,
 )
+from toposmooth.evaluate import METHODS
 from toposmooth.filters import douglas_peucker_indices
 
 ALL_FILTERS = [
@@ -229,3 +230,34 @@ def test_constants_map_to_themselves(apply):
     series = TimeSeries([7.25] * 12)
     out = apply(series)
     assert np.allclose(out.values, 7.25, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "apply,name,value",
+    [
+        (median_filter, "window", 3.0),
+        (median_filter, "window", True),
+        (cutoff_filter, "keep_frequencies", 2.0),
+        (uniform_subsample, "stride", 2.0),
+        (uniform_subsample, "stride", True),
+    ],
+)
+def test_integer_parameter_refuses_float_and_bool(apply, name, value):
+    with pytest.raises(ValueError) as info:
+        apply(TimeSeries([0.0, 3.0, 1.0, 4.0, 1.0, 5.0]), value)
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("apply", [median_filter, cutoff_filter, uniform_subsample])
+def test_numpy_integer_parameter_keeps_every_bit(apply):
+    series = TimeSeries(np.random.default_rng(6).normal(0.0, 1.0, 40))
+    expected = apply(series, 3).values
+    for value in (np.int64(3), np.uint8(3)):
+        assert apply(series, value).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("param", [True, "3", np.True_])
+def test_method_refuses_bool_and_string_parameters(param):
+    with pytest.raises(ValueError) as info:
+        METHODS["median"](TimeSeries([0.0, 3.0, 1.0, 4.0, 1.0, 5.0]), param)
+    assert str(info.value) == f"median parameter must be a real number, got {param!r}"

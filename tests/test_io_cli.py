@@ -506,6 +506,31 @@ class TestCli:
         assert "argument --config: given more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--n", "5"], ["--seed", "99"], ["--n", "5", "--seed", "99"]])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_evaluate_input_refuses_synthetic_flags(self, tmp_path, capsys, flags, from_config):
+        data = tmp_path / "rw.csv"
+        write_series_csv(data, generate_synthetic("random_walk", 64, 7))
+        out_dir = tmp_path / "results"
+        if from_config:
+            config = tmp_path / "run.conf"
+            config.write_text("".join(f"{k[2:]}={v}\n" for k, v in zip(flags[::2], flags[1::2])))
+            flags = ["--config", str(config)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--input", str(data), *flags, "--out-dir", str(out_dir)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "not allowed with argument --input" in err
+        assert not out_dir.exists()
+
+    def test_evaluate_input_echoes_no_seed(self, tmp_path):
+        data = tmp_path / "rw.csv"
+        write_series_csv(data, generate_synthetic("spike_train", 96, 3))
+        out_dir = tmp_path / "results"
+        assert main(["evaluate", "--input", str(data), "--out-dir", str(out_dir)]) == 0
+        config = json.loads((out_dir / "rw_report.json").read_text())["config"]
+        assert (config["n"], config["seed"], config["source"]) == (96, None, "csv")
+
     def test_evaluate_emits_report_and_charts(self, tmp_path):
         out_dir = tmp_path / "results"
         code = main(["evaluate", "--synth-kind", "spike-train", "--n", "96",

@@ -433,6 +433,29 @@ class TestApproxEntropy:
             approx_entropy([1.0, 2.0, 3.0, 4.0, 5.0], m=m, r=0.5)
         assert str(info.value) == f"m must be an integer, got {m!r}"
 
+    @pytest.mark.parametrize("r", [True, "0.5", np.True_])
+    def test_rejects_r_that_is_not_a_real_number(self, r):
+        with pytest.raises(ValueError) as info:
+            approx_entropy([1.0, 2.0, 3.0, 4.0, 5.0], m=2, r=r)
+        assert str(info.value) == f"r must be a real number, got {r!r}"
+
+    def test_numpy_float_r_keeps_every_bit(self):
+        values = np.cumsum(np.random.default_rng(4).normal(0.0, 1.0, 300))
+        expected = approx_entropy(values, m=2, r=0.5).hex()
+        for r in (np.float64(0.5), np.float32(0.5), 1 / 2):
+            assert approx_entropy(values, m=2, r=r).hex() == expected
+
+    @pytest.mark.parametrize("r_factor", [True, "0.2", None])
+    def test_tolerance_rejects_factor_that_is_not_a_real_number(self, r_factor):
+        with pytest.raises(ValueError) as info:
+            metrics.entropy_tolerance([1.0, 2.0, 3.0, 4.0, 5.0], r_factor)
+        assert str(info.value) == f"r_factor must be a real number, got {r_factor!r}"
+
+    def test_tolerance_takes_a_numpy_float_factor(self):
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        expected = metrics.entropy_tolerance(values, 0.2)
+        assert metrics.entropy_tolerance(values, np.float64(0.2)) == expected
+
     @pytest.mark.parametrize("r", [0.5, None])
     def test_rejects_non_finite_sample(self, r):
         values = [1.0, 2.0, 3.0, np.nan, 5.0, np.inf, 7.0]
