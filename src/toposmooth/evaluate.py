@@ -292,7 +292,9 @@ def sweep(
     shared with one forked child process (see ``_score_points``); the
     values are those of scoring each point in turn.
     """
-    if not grid:
+    # An array's entries are read as Python numbers, as a list's would be.
+    grid = grid.tolist() if isinstance(grid, np.ndarray) else grid
+    if len(grid) == 0:
         raise ValueError("parameter grid must be non-empty")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .series import TimeSeries, integer_argument
+from .series import TimeSeries, integer_argument, real_argument
 
 
 def median_filter(series: TimeSeries, window: int) -> TimeSeries:
@@ -38,6 +38,7 @@ def gaussian_filter(series: TimeSeries, sigma: float) -> TimeSeries:
     ``sigma`` = 0 returns the input, as does a sigma whose square underflows
     to 0.
     """
+    sigma = real_argument("sigma", sigma)
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
@@ -97,6 +98,7 @@ def douglas_peucker_indices(series: TimeSeries, epsilon: float) -> list[int]:
     A residual depends only on the kept points on either side, so each
     segment is split at its own worst sample instead; the kept set is the same.
     """
+    epsilon = real_argument("epsilon", epsilon)
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:

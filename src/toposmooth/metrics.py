@@ -58,11 +58,20 @@ def norm_linf(a, b) -> float:
     return _pointwise_gap(a, b, np.max)
 
 
+def _pair(point) -> tuple[float, float]:
+    """A raw diagram point as (birth, death) floats; anything but two real numbers is refused."""
+    try:
+        birth, death = point
+        return float(real_argument("birth", birth)), float(real_argument("death", death))
+    except (TypeError, ValueError):
+        raise ValueError(f"diagram point {point!r} must be a pair of real numbers") from None
+
+
 def _points(diagram) -> np.ndarray:
     """Coerce a PersistenceDiagram or finite pairs, birth <= death, to an (m, 2) array."""
     if hasattr(diagram, "finite_points"):
         return diagram.finite_points()  # finite: the series was validated
-    pts = [(float(p[0]), float(p[1])) for p in diagram]
+    pts = [_pair(p) for p in diagram]
     out = np.asarray(pts, dtype=np.float64).reshape(len(pts), 2)
     if len(out) and not np.all(np.isfinite(out)):
         raise ValueError("diagram points must be finite")

@@ -10,9 +10,9 @@ component of the global minimum never dies and is reported separately as
 the essential record rather than as a pair.
 
 The sweep runs on the extrema alone: non-extremal samples are removed
-after classification. Long sequences of extrema are first paired in
-whole-array rounds: a maximum lower than both neighbouring maxima merges
-two components that are already complete, so every such maximum pairs at
+after classification. Many extrema are first paired in whole-array
+rounds: a maximum lower than both neighbouring maxima merges two
+components that are already complete, so every such maximum pairs at
 once, in a few numpy passes. When a round would pair too few of the
 maxima left, a Python loop over the rest, lowest first, finishes the
 sweep. A round runs only if it pairs a fixed share of the maxima left, so
@@ -91,53 +91,50 @@ _ROUND_MIN = 1024
 _ROUND_SHARE = 16
 
 
-def _loop(value: np.ndarray) -> np.ndarray:
-    """Pair the maxima of ``value`` one at a time, lowest (value, position) first.
+def _loop(bottom: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Pair the maxima ``top`` one at a time, lowest (value, position) first.
 
-    ``value`` holds minima at its even positions and maxima at its odd
-    ones. Each component of the sublevel set spans an interval of
-    positions [a, b] with minima at both ends, and the maximum at j joins
-    the interval ending at j - 1 with the interval starting at j + 1. Both
-    neighbours are lower minima, so they are already swept. Each interval
-    keeps its other end and the position of its minimum at both of its
-    ends.
+    Maximum j lies between minima ``bottom[j]`` and ``bottom[j + 1]``.
+    Each component of the sublevel set is a run of minima [a, b], and
+    maximum j joins the run ending at j with the run starting at j + 1.
+    Both neighbours are lower minima, so they are already swept. Each run
+    keeps its other end and its lowest minimum at both of its ends.
 
-    Returns, for each position, the position of the maximum that the
-    minimum there dies at, or -1.
+    Returns, for each maximum, the minimum that dies at it.
     """
     # A stable sort by value keeps equal maxima in position order.
-    maxima = (2 * np.argsort(value[1::2], kind="stable") + 1).tolist()
-    value = value.tolist()
-    other_end = list(range(len(value)))
+    maxima = np.argsort(top, kind="stable").tolist()
+    bottom = bottom.tolist()
+    other_end = list(range(len(bottom)))
     lowest = other_end.copy()
-    death = [-1] * len(value)
+    dying = [0] * len(maxima)
     for j in maxima:
-        a, b = other_end[j - 1], other_end[j + 1]
-        left, right = lowest[j - 1], lowest[j + 1]
+        a, b = other_end[j], other_end[j + 1]
+        left, right = lowest[j], lowest[j + 1]
         # Larger (value, position) key dies: the elder component survives.
         # The left minimum has the smaller position, so it dies only when higher.
-        living, dead = (right, left) if value[left] > value[right] else (left, right)
-        death[dead] = j
+        living, dying[j] = (right, left) if bottom[left] > bottom[right] else (left, right)
         other_end[a], other_end[b] = b, a
         lowest[a] = lowest[b] = living
-    return np.array(death, dtype=np.intp)
+    return np.array(dying, dtype=np.intp)
 
 
 def _sweep(value: np.ndarray, is_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairs-only sweep over the extremum slots.
 
     Boundary maxima never join two components and are dropped, so minima
-    and interior maxima alternate. A round pairs every maximum whose
+    and interior maxima alternate. They are held as two columns, the
+    minima and the maxima between them. A round pairs every maximum whose
     (value, slot) key is below those of both neighbouring maxima (an end
-    of the sequence counts as higher). Every maximum paired so far between
+    of the column counts as higher). Every maximum paired so far between
     two neighbouring maxima was below both, so the minimum left between
     them is the lowest of the component they bound, and a maximum below
     both of its neighbours joins two components that no other maximum
     will change first. Like the loop, it pairs with the higher of its two
-    minima (the right one on a tie), and both leave the sequence. The
+    minima (the right one on a tie), and both leave their columns. The
     maxima of one round are never neighbours, so their triples are
-    disjoint. No round runs on fewer than ``_ROUND_MIN`` maxima, so a short
-    sequence goes to the loop whole; the loop pairs what the rounds leave.
+    disjoint. No round runs on fewer than ``_ROUND_MIN`` maxima, so short
+    columns go to the loop whole; the loop pairs what the rounds leave.
     Slots increase with sample index, so (value, slot) orders like (value, index).
 
     Returns (maximum slots, dying slots), ordered by dying slot.
@@ -163,11 +160,7 @@ def _sweep(value: np.ndarray, is_min: np.ndarray) -> tuple[np.ndarray, np.ndarra
         mins, bottom = mins[alive], bottom[alive]
         np.logical_not(low, out=low)
         maxs, top = maxs[low], top[low]
-    sequence = np.empty(2 * len(mins) - 1, dtype=np.intp)
-    sequence[0::2], sequence[1::2] = mins, maxs
-    tail = _loop(value[sequence])
-    dying = np.flatnonzero(tail >= 0)
-    death[sequence[dying]] = sequence[tail[dying]]
+    death[mins[_loop(bottom, top)]] = maxs
     dying = np.flatnonzero(death >= 0)
     return death[dying] + first, dying + first
 

@@ -24,7 +24,7 @@ from itertools import compress
 import numpy as np
 
 from .persistence import ExtremaPair, PersistenceDiagram, diagram_of
-from .series import TimeSeries
+from .series import TimeSeries, real_argument
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Threshold:
     value: float
 
     def __post_init__(self) -> None:
-        if not (self.value >= 0.0):
+        if not (real_argument("threshold", self.value) >= 0.0):
             raise ValueError(f"threshold must be >= 0, got {self.value}")
 
 
@@ -45,7 +45,7 @@ class Fraction:
     value: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.value <= 1.0):
+        if not (0.0 <= real_argument("fraction", self.value) <= 1.0):
             raise ValueError(f"fraction must be in [0, 1], got {self.value}")
 
 

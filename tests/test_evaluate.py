@@ -193,6 +193,16 @@ class TestSweep:
         assert len(points) == 2
         assert_no_child()
 
+    @pytest.mark.parametrize("grid", [[3.0, 5.0], [4.0], [3, 4.5, 7]])
+    def test_array_grid_equals_the_same_list(self, grid):
+        series = generate_synthetic("noisy_sine", 96, 5)
+        expected = repr(sweep(series, "median", grid, r=0.3))
+        assert repr(sweep(series, "median", np.array(grid), r=0.3)) == expected
+
+    def test_empty_array_grid_refused(self):
+        with pytest.raises(ValueError, match="^parameter grid must be non-empty$"):
+            sweep(generate_synthetic("noisy_sine", 96, 5), "median", np.array([]), r=0.3)
+
     def test_numpy_integer_m_keeps_every_bit(self):
         series = generate_synthetic("noisy_sine", 96, 5)
         expected = repr(sweep(series, "median", [3, 5, 7], r=0.3, m=2))

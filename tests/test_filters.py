@@ -261,3 +261,25 @@ def test_method_refuses_bool_and_string_parameters(param):
     with pytest.raises(ValueError) as info:
         METHODS["median"](TimeSeries([0.0, 3.0, 1.0, 4.0, 1.0, 5.0]), param)
     assert str(info.value) == f"median parameter must be a real number, got {param!r}"
+
+
+@pytest.mark.parametrize(
+    "apply, name, value",
+    [
+        (gaussian_filter, "sigma", True),
+        (gaussian_filter, "sigma", "1"),
+        (douglas_peucker, "epsilon", True),
+        (douglas_peucker, "epsilon", "0.5"),
+    ],
+)
+def test_real_parameter_refuses_bool_and_string(apply, name, value):
+    with pytest.raises(ValueError) as info:
+        apply(TimeSeries([0.0, 3.0, 1.0, 4.0, 1.0, 5.0]), value)
+    assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("apply, value", [(gaussian_filter, 0.7), (douglas_peucker, 0.3)])
+def test_numpy_float_parameter_keeps_every_bit(apply, value):
+    series = TimeSeries(np.random.default_rng(6).normal(0.0, 1.0, 40))
+    expected = apply(series, value).values
+    assert apply(series, np.float64(value)).values.tobytes() == expected.tobytes()

@@ -119,6 +119,25 @@ class TestDiagramDistances:
         assert distance([(2.0, 2.0)], []) == 0.0
         assert distance([(2.0, 2.0)], [(0.0, 1.0)]) == distance([], [(0.0, 1.0)])
 
+    @pytest.mark.parametrize("distance", [wasserstein1, bottleneck])
+    @pytest.mark.parametrize(
+        "point",
+        [(0.0, 1.0, 5.0), (True, 2.0), ("0", "1"), (0.0,), 1.0],
+        ids=["triple", "bool", "strings", "single", "scalar"],
+    )
+    def test_raw_point_that_is_not_a_pair_of_real_numbers_rejected(self, distance, point):
+        with pytest.raises(ValueError) as info:
+            distance([point], [])
+        assert str(info.value) == f"diagram point {point!r} must be a pair of real numbers"
+
+    @pytest.mark.parametrize("distance", [wasserstein1, bottleneck])
+    def test_raw_points_as_numpy_rows_and_scalars_accepted(self, distance):
+        expected = distance([(0.0, 1.0), (2.0, 5.0)], [(0.5, 1.0)])
+        rows = np.array([[0.0, 1.0], [2.0, 5.0]])
+        scalars = [(np.float64(0.0), np.int64(1)), (np.float32(2.0), np.float64(5.0))]
+        assert distance(rows, [(0.5, 1.0)]) == expected
+        assert distance(scalars, [(0.5, 1.0)]) == expected
+
     def test_accepts_diagram_objects(self):
         d1 = diagram_of([0, 5, 1, 4, 0])
         d2 = diagram_of([0, 5, 1, 4, 0])

@@ -78,6 +78,26 @@ class TestSelectPairs:
         with pytest.raises(ValueError):
             Fraction(-0.1)
 
+    @pytest.mark.parametrize(
+        "policy, name, value",
+        [
+            (Threshold, "threshold", True),
+            (Threshold, "threshold", "1"),
+            (Fraction, "fraction", True),
+            (Fraction, "fraction", "0.5"),
+        ],
+    )
+    def test_rejects_value_that_is_not_a_real_number(self, policy, name, value):
+        with pytest.raises(ValueError) as info:
+            policy(value)
+        assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("policy", [Threshold, Fraction])
+    def test_numpy_float_value_keeps_every_bit(self, policy):
+        series = generate_synthetic("noisy_sine", 256, 3)
+        expected = simplify(series, policy(0.5)).values
+        assert simplify(series, policy(np.float64(0.5))).values.tobytes() == expected.tobytes()
+
     def test_nested_equal_persistence_ties_remove_inner_first(self):
         # Pairs (1,6) and (3,2) both have persistence 2.0 and nest
         # ([2,3] inside [1,6]); a fraction cut that splits the tie must
