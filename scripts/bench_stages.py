@@ -19,9 +19,11 @@ plateaus and few pairs), times:
   ``uniform_subsample``, a pair whose count bound falls short, so the
   binary search over candidate costs runs at every size.
 
-Then ``simplify`` with ``Fraction(0.5)`` of the seed-7 noisy sine at
-n=131072, ``diagram_of`` and that ``simplify`` of the seed-7 spike train
-at n=131072 (long enough for the sweep to pair in whole-array rounds),
+Then ``simplify`` of the seed-7 noisy sine at n=131072 with
+``Fraction(0.5)``, whose many short segments are pooled in lockstep, and
+with ``Threshold(0.25 * value range)``, whose few long ones go through the
+loop; ``diagram_of`` and ``simplify`` with ``Fraction(0.5)`` of the
+seed-7 spike train at n=131072 (long enough for the sweep to pair in whole-array rounds),
 and ``load_csv`` of that sine as ``write_series_csv`` writes it, each
 valued by a digest of its values or pairs, and ``evaluate_series`` of the
 seed-7 spike train at n=1024 and of the seed-7 random walk and noisy sine
@@ -99,6 +101,7 @@ def measure(src: Path) -> dict:
 
     from toposmooth import (
         Fraction,
+        Threshold,
         approx_entropy,
         bottleneck,
         diagram_of,
@@ -149,6 +152,8 @@ def measure(src: Path) -> dict:
               lambda: bottleneck(original, subsampled), float.hex)
     sine = generate_synthetic("noisy_sine", 131072, 7)
     stage("simplify/noisy_sine/n131072", lambda: simplify(sine, Fraction(0.5)), values_key)
+    threshold = Threshold(0.25 * float(np.ptp(sine.values)))
+    stage("simplify/noisy_sine_threshold/n131072", lambda: simplify(sine, threshold), values_key)
     spikes = generate_synthetic("spike_train", 131072, 7)
     stage("diagram_of/spike_train/n131072", lambda: diagram_of(spikes), pairs_key)
     stage("simplify/spike_train/n131072", lambda: simplify(spikes, Fraction(0.5)), values_key)

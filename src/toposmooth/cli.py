@@ -112,6 +112,8 @@ def _expand_config(argv: list[str]) -> list[str]:
         if "=" not in line:
             raise ValueError(f"config line {line!r} is not key=value")
         key, value = line.split("=", 1)
+        if not key.strip():
+            raise ValueError(f"config line {line!r} has no key")
         flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     at = next((i for i, a in enumerate(rest) if not a.startswith("-")), len(rest))
     return rest[: at + 1] + flags + rest[at + 1 :]

@@ -17,7 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a, name: str) -> np.ndarray:
+    a = np.atleast_1d(a)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"invalid series: {name} must be real numbers, got dtype {a.dtype}")
     a = np.array(a, dtype=np.float64, copy=True)
     a.flags.writeable = False
     return a
@@ -47,9 +50,9 @@ class TimeSeries:
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _readonly(np.atleast_1d(self.values)))
+        object.__setattr__(self, "values", _readonly(self.values, "values"))
         if self.positions is not None:
-            object.__setattr__(self, "positions", _readonly(np.atleast_1d(self.positions)))
+            object.__setattr__(self, "positions", _readonly(self.positions, "positions"))
         require_valid(self)
 
     def __len__(self) -> int:

@@ -12,7 +12,11 @@ identity.
 The segments that need a refit are concatenated and fitted together:
 ``isotonic_fit`` takes their starts as a keyword, pools only within a
 segment, and runs once per batch of whole segments, so the per-call cost
-is paid per batch rather than per segment.
+is paid per batch rather than per segment. A batch of many short runs,
+as a ``Fraction`` leaves on a long series, is pooled with numpy in
+lockstep across its runs; the others go through a Python loop, one
+sample at a time. Both paths make the same float operations, so the fit
+does not depend on the path.
 """
 
 from __future__ import annotations
@@ -51,14 +55,21 @@ class Fraction:
 
 SimplifyPolicy = Threshold | Fraction
 
-# Samples refitted per isotonic_fit call in simplify, which holds three
-# Python lists (samples, means, weights) of up to this many entries. On
-# perfbench's smooth_topo_n131072 (seed 7, two 8 s runs, 2-CPU Xeon),
-# 2**14-sample batches kept the peak RSS at 66.0 MB, while one batch of
-# every segment raised it to 76.0-76.1 MB and was no faster, and one call
-# per segment held 65.1-65.2 MB but ran 6.6-7 times slower.
+# Samples refitted per isotonic_fit call in simplify, which holds its
+# samples, means and weights as Python lists or flat arrays of up to this
+# many entries. On perfbench's smooth_topo_n131072 (seed 7, two 8 s runs,
+# 2-CPU Xeon), 2**14-sample batches kept the peak RSS at 66.0 MB, while
+# one batch of every segment raised it to 76.0-76.1 MB and was no faster,
+# and one call per segment held 65.1-65.2 MB but ran 6.6-7 times slower.
 # The fit does not depend on it.
 _PAV_SAMPLES = 2**14
+# isotonic_fit pools runs of at most _LOCKSTEP_LENGTH samples in lockstep
+# when it has at least _LOCKSTEP_RUNS of them. On the batches of seed-7
+# n=131072 series (2-CPU Xeon), lockstep broke even with the loop at
+# 256-512 such runs of Fraction(0.5) and 512 of Fraction(0.8), and took
+# 0.4-0.7 of its time at 1024. The fit does not depend on them.
+_LOCKSTEP_LENGTH = 64
+_LOCKSTEP_RUNS = 512
 
 
 def _retained(diagram: PersistenceDiagram, policy: SimplifyPolicy) -> np.ndarray:
@@ -107,9 +118,14 @@ def isotonic_fit(values, *, starts=None) -> np.ndarray:
 
     With ``starts`` (increasing integer indices, the first 0), each run of
     samples from one start to the next is fitted on its own: no pool
-    crosses a start. Without it the whole sequence is one run.
+    crosses a start. Without it the whole sequence is one run. The values
+    must be finite integers or floats; bools, strings and complex numbers
+    are refused.
     """
-    x = np.asarray(values, dtype=np.float64)
+    x = np.asarray(values)
+    if x.dtype.kind not in "iuf":
+        raise ValueError(f"isotonic_fit expects real numbers, got dtype {x.dtype}")
+    x = x.astype(np.float64, copy=False)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("isotonic_fit expects a non-empty 1D sequence")
     if not np.isfinite(x).all():
@@ -117,7 +133,28 @@ def isotonic_fit(values, *, starts=None) -> np.ndarray:
     bounds = np.append(np.asarray([0] if starts is None else starts), len(x))
     if bounds.dtype.kind != "i" or bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
         raise ValueError("starts must be integers increasing from 0 below the length")
-    bounds = bounds.tolist()
+    length = np.diff(bounds)
+    short = length <= _LOCKSTEP_LENGTH
+    if np.count_nonzero(short) < _LOCKSTEP_RUNS:
+        fit = _pav_loop(x, bounds.tolist())
+    else:
+        fit = np.empty_like(x)
+        lock = np.repeat(short, length)
+        fit[lock] = _pav_lockstep(x[lock], length[short])
+        rest = np.concatenate(([0], np.cumsum(length[~short])))
+        fit[~lock] = _pav_loop(x[~lock], rest.tolist())
+    bad = np.flatnonzero(~np.isfinite(fit))
+    if len(bad):
+        # m * w + pm * pw overflowed. Scaling by a power of two is exact
+        # away from subnormals, so refit those runs scaled down.
+        for k in np.unique(np.searchsorted(bounds, bad, "right") - 1).tolist():
+            a, b = int(bounds[k]), int(bounds[k + 1])
+            fit[a:b] = _pav_loop(x[a:b] * 2.0**-64, [0, b - a]) * 2.0**64
+    return fit
+
+
+def _pav_loop(x: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """The fit of each run from one bound to the next, one sample at a time."""
     samples = x.tolist()
     # Stack of blocks (mean, weight); merge while the tail violates order.
     # Each run opens with a weightless -inf block, which no sample pools
@@ -140,6 +177,45 @@ def isotonic_fit(values, *, starts=None) -> np.ndarray:
             push_mean(m)
             push_weight(w)
     return np.repeat(means, weights)
+
+
+def _pav_lockstep(x: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The loop's fit of consecutive runs of ``length`` samples, all runs at once.
+
+    Step t pushes sample t of every run longer than t, then pools each run
+    whose stack top is above its new block, with the loop's operations.
+    """
+    # Run k's stack is a slice of the flat arrays that opens with a -inf
+    # block of weight 0 at slot k plus the run's offset in x. Taken longest
+    # first, the runs longer than t are the first active[t].
+    order = np.argsort(-length, kind="stable")
+    start = (np.cumsum(length) - length)[order]
+    top = start + order
+    means = np.full(len(x) + len(length), -np.inf)
+    weights = np.zeros(len(means), dtype=np.int64)
+    active = np.searchsorted(-length[order], -np.arange(length[order[0]]), "left")
+    # isotonic_fit refits a run whose sums overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, k in enumerate(active.tolist()):
+            tops = top[:k]
+            m = x[start[:k] + t]
+            w = np.ones(k, dtype=np.int64)
+            pool = np.flatnonzero(means[tops] > m)
+            while len(pool):
+                at = tops[pool]
+                pm, pw = means[at], weights[at]
+                m[pool] = (m[pool] * w[pool] + pm * pw) / (w[pool] + pw)
+                w[pool] += pw
+                tops[pool] = at - 1
+                pool = pool[means[at - 1] > m[pool]]
+            tops += 1
+            means[tops] = m
+            weights[tops] = w
+    # Slots above a run's top hold popped blocks.
+    last = np.empty_like(top)
+    last[order] = top
+    kept = np.arange(len(means)) <= np.repeat(last, length + 1)
+    return np.repeat(means[kept], weights[kept])
 
 
 def _refit(
@@ -178,9 +254,12 @@ def simplify(series: TimeSeries, policy: SimplifyPolicy) -> TimeSeries:
     diagram = diagram_of(series)
     keep = _retained(diagram, policy)
     values = series.values
-    ends = [0, len(values) - 1, diagram.essential_min_index]
-    retained = (diagram.birth_index[keep], diagram.death_index[keep])
-    anchors = np.unique(np.concatenate((ends, *retained)))
+    # Marking the anchors gives them sorted and once each, with no sort.
+    mark = np.zeros(len(values), dtype=bool)
+    mark[[0, len(values) - 1, diagram.essential_min_index]] = True
+    mark[diagram.birth_index[keep]] = True
+    mark[diagram.death_index[keep]] = True
+    anchors = np.flatnonzero(mark)
     # A segment already monotone toward its end anchor is its own fit: PAV
     # pools nothing, and the clip and the pinned ends change nothing. Count
     # the steps against each segment's direction to find the others.

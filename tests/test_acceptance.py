@@ -10,7 +10,15 @@ import json
 import time
 
 import numpy as np
-from helpers import PAIR_COLUMNS, diagram_rows, random_diagram, random_values, sweep_mode
+from helpers import (
+    PAIR_COLUMNS,
+    PAV_MODES,
+    diagram_rows,
+    pav_mode,
+    random_diagram,
+    random_values,
+    sweep_mode,
+)
 from oracles import (
     exhaustive_bottleneck,
     exhaustive_wasserstein1,
@@ -95,6 +103,13 @@ def test_isotonic_optimality():
         sse = float(np.sum((fit - np.asarray(values)) ** 2))
         _, best_sse = isotonic_best(values)
         assert abs(sse - best_sse) <= 1e-9, values
+
+
+@criterion(2, "isotonic fit matches the monotone projection with lockstep and loop pooling")
+def test_isotonic_optimality_in_each_pav_mode():
+    for mode in PAV_MODES:
+        with pav_mode(mode):
+            test_isotonic_optimality.__wrapped__()
 
 
 @criterion(3, "diagram of simplified series is exactly the retained pair multiset")

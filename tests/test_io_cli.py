@@ -469,6 +469,16 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --parm=5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["=5", " = 5"])
+    def test_config_line_without_key_rejected(self, tmp_path, capsys, line):
+        config = tmp_path / "run.conf"
+        config.write_text(f"kind=noisy-sine\n{line}\n")
+        out = tmp_path / "a.csv"
+        assert main(["synth", "--config", str(config), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: config line {line.strip()!r} has no key"]
+        assert not out.exists()
+
     def test_config_equals_form(self, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("kind=random-walk\nn=40\n")

@@ -111,6 +111,32 @@ def test_timeseries_is_valid_by_construction(values, positions, message):
     assert str(info.value) == f"invalid series: {message}"
 
 
+@pytest.mark.parametrize(
+    "values,positions,field,dtype",
+    [
+        (["1", "2", "3"], None, "values", "<U1"),
+        ([True, False, True], None, "values", "bool"),
+        ([1 + 0j, 2 + 1j, 3 + 0j], None, "values", "complex128"),
+        ([1, None, 3], None, "values", "object"),
+        ([1.0, 2.0, 3.0], ["0", "1", "2"], "positions", "<U1"),
+        ([1.0, 2.0, 3.0], [False, True, True], "positions", "bool"),
+    ],
+)
+def test_timeseries_refuses_values_that_are_not_real(values, positions, field, dtype):
+    with pytest.raises(ValueError) as info:
+        TimeSeries(values, positions)
+    assert str(info.value) == f"invalid series: {field} must be real numbers, got dtype {dtype}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int8, np.int64, np.uint16])
+def test_timeseries_takes_numpy_integers_and_floats(dtype):
+    raw = np.array([3, 1, 2, 5], dtype=dtype)
+    series = TimeSeries(raw, positions=np.array([0, 1, 2, 4], dtype=dtype))
+    assert series.values.dtype == series.positions.dtype == np.float64
+    assert series.values.tolist() == [3.0, 1.0, 2.0, 5.0]
+    assert series.positions.tolist() == [0.0, 1.0, 2.0, 4.0]
+
+
 def test_with_values_refuses_non_finite_values():
     series = TimeSeries([1.0, 2.0, 3.0], positions=[0.0, 1.0, 3.0])
     with pytest.raises(ValueError) as info:

@@ -1,19 +1,23 @@
+import hashlib
 import importlib
 import math
 
 import numpy as np
 import pytest
 from helpers import (
+    PAV_MODES,
     any_series,
     diagram_rows,
     int_series,
     normal_series,
+    pav_mode,
     plateau_series,
     random_values,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _pav,
     fraction_kept,
     isotonic_best,
     refit_segments,
@@ -443,3 +447,174 @@ def test_simplify_refits_through_the_module_global(monkeypatch):
     simplify(TimeSeries([1, 5, 2, 4, 0, 3]), Threshold(2.5))
     # One batch of the segment 1 .. 4, refitted by keyword starts.
     assert calls == [(4, ["starts"])]
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [(["1", "2"], "<U1"), ([True, False, True], "bool"), ([1 + 1j, 2 + 0j], "complex128")],
+)
+def test_isotonic_refuses_values_that_are_not_real(values, dtype):
+    with pytest.raises(ValueError) as info:
+        isotonic_fit(values)
+    assert str(info.value) == f"isotonic_fit expects real numbers, got dtype {dtype}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int32, np.uint8])
+def test_isotonic_takes_numpy_integers_and_floats(dtype):
+    values = np.array([3, 1, 2, 7, 5], dtype=dtype)
+    expected = isotonic_fit(values.astype(np.float64))
+    assert _bits(isotonic_fit(values)) == _bits(expected) == _bits([2.0, 2.0, 2.0, 6.0, 6.0])
+
+
+@pytest.mark.parametrize("mode", PAV_MODES)
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.5e308, 1.5e308, 0.0],
+        [0.0, -1.5e308, -1.5e308],
+        [1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.0, 1.7e308],
+        [1e308, 1.7976931348623157e308, 1.7976931348623157e308, -5e-324],
+    ],
+)
+def test_run_whose_sums_overflow_is_fitted_scaled(values, mode):
+    # m * w + pm * pw overflows on these finite runs; the fit of the run
+    # scaled by 2**-64 and scaled back is finite and the least-squares fit.
+    scaled = np.asarray(values) * 2.0**-64
+    plain = [0.0, 2.0, 1.0]
+    with pav_mode(mode):
+        fit = isotonic_fit(values + plain, starts=[0, len(values)])
+        expected = isotonic_fit(scaled) * 2.0**64
+        alone = isotonic_fit(plain)
+    assert np.isfinite(fit).all()
+    assert _bits(fit[: len(values)]) == _bits(expected)
+    # A run that does not overflow keeps its fit.
+    assert _bits(fit[len(values) :]) == _bits(alone) == _bits([0.0, 1.5, 1.5])
+
+
+def test_simplify_fits_segments_whose_sums_overflow():
+    values = np.array([-1e308, 1.5e308, 1.5e308, 1.4e308, 1.5e308, 1.5e308, 0.0, 1.6e308])
+    out = simplify(TimeSeries(values), Fraction(1.0)).values
+    scaled = simplify(TimeSeries(values * 2.0**-64), Fraction(1.0)).values * 2.0**64
+    assert np.isfinite(out).all()
+    assert _bits(out) == _bits(scaled)
+    # The segment 0 .. 7 rises, so its six inner samples pool to their mean.
+    assert out[1:7].tolist() == pytest.approx([float(np.sum(values[1:7] / 6))] * 6, rel=1e-15)
+
+
+def _per_run_oracle(values, starts) -> np.ndarray:
+    """The per-sample PAV of each run, refitted scaled by 2**-64 where it overflows."""
+    bounds = [*starts, len(values)]
+    fits = []
+    for a, b in zip(bounds, bounds[1:]):
+        fit = _pav(values[a:b])
+        if not np.isfinite(fit).all():
+            fit = _pav(values[a:b] * 2.0**-64) * 2.0**64
+        fits.append(fit)
+    return np.concatenate(fits)
+
+
+@pytest.mark.parametrize("mode", PAV_MODES)
+@pytest.mark.parametrize("style", ["tie_rich", "near_max"])
+def test_runs_equal_the_per_sample_oracle(style, mode):
+    # 900 runs of 1 to 79 samples: in the default mode over 512 of them are
+    # short enough for lockstep and the others go through the loop.
+    rng = np.random.default_rng(11)
+    levels = {
+        "tie_rich": [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0],
+        "near_max": [-1.7976931348623157e308, -1.5e308, -1e308, 0.0, 1e308, 1.5e308, 1.7e308],
+    }[style]
+    for _ in range(3):
+        length = rng.integers(1, 80, 900)
+        values = rng.choice(levels, int(length.sum()))
+        if style == "near_max":
+            values *= rng.uniform(0.9, 1.0, len(values))
+        starts = np.cumsum(length) - length
+        with pav_mode(mode):
+            fit = isotonic_fit(values, starts=starts)
+        assert _bits(fit) == _bits(_per_run_oracle(values, starts.tolist()))
+
+
+def test_default_mode_takes_both_paths(monkeypatch):
+    calls = []
+    for name in ("_pav_loop", "_pav_lockstep"):
+        original = getattr(simplify_module, name)
+
+        def recording(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(simplify_module, name, recording)
+    length = np.array([3] * simplify_module._LOCKSTEP_RUNS + [simplify_module._LOCKSTEP_LENGTH + 1])
+    values = np.random.default_rng(3).normal(size=int(length.sum()))
+    starts = np.cumsum(length) - length
+    fit = isotonic_fit(values, starts=starts)
+    assert sorted(calls) == ["_pav_lockstep", "_pav_loop"]
+    assert _bits(fit) == _bits(_per_run_oracle(values, starts.tolist()))
+    calls.clear()
+    isotonic_fit(values[: -length[-1] - 3], starts=starts[:-2])
+    assert calls == ["_pav_loop"]
+
+
+@given(st.lists(st.integers(0, 8).map(lambda v: v * 0.25), min_size=1, max_size=6))
+def test_matches_partition_oracle_in_each_pav_mode(values):
+    _, best_sse = isotonic_best(values)
+    for mode in PAV_MODES:
+        with pav_mode(mode):
+            fit = isotonic_fit(values)
+        assert np.all(np.diff(fit) >= 0), mode
+        sse = float(np.sum((fit - np.asarray(values)) ** 2))
+        assert abs(sse - best_sse) <= 1e-9, mode
+
+
+@settings(max_examples=300)
+@given(signed_zero_plateaus, st.booleans(), st.floats(0.0, 1.0, allow_nan=False))
+def test_signed_zero_anchors_and_plateaus_in_each_pav_mode(values, by_threshold, q):
+    policy = Threshold(3.5 * q) if by_threshold else Fraction(q)
+    expected = _bits(_per_segment(values, policy))
+    for mode in PAV_MODES:
+        with pav_mode(mode):
+            assert _bits(simplify(TimeSeries(values), policy).values) == expected, mode
+
+
+@pytest.mark.parametrize("mode", PAV_MODES)
+def test_small_refit_examples_in_each_pav_mode(mode):
+    with pav_mode(mode):
+        test_clip_keeps_a_sample_equal_to_its_bound()
+        test_length_two_segments()
+
+
+@pytest.mark.parametrize("mode", PAV_MODES)
+@pytest.mark.parametrize("kind", ["spike_train", "noisy_sine", "random_walk", "noisy_sine_rounded"])
+def test_refit_equals_per_segment_oracle_in_each_pav_mode(kind, mode):
+    for n, seed in ((1024, 1), (4096, 2)):
+        series = generate_synthetic(kind.removesuffix("_rounded"), n, seed)
+        if kind.endswith("_rounded"):
+            series = TimeSeries(np.round(series.values))
+        d = diagram_of(series)
+        threshold = Threshold(0.25 * float(np.ptp(series.values)))
+        for policy in (Fraction(0.5), Fraction(0.9), threshold):
+            anchors = simplify_anchors(n, d, policy)
+            expected = refit_segments(series.values, anchors)
+            with pav_mode(mode):
+                out = simplify(series, policy)
+            assert _bits(out.values) == _bits(expected), (n, seed, policy)
+
+
+# sha256 over simplify's output values at seed 7, for n = 4096 and 131072
+# in turn, each of the three kinds and then the noisy sine rounded to
+# integers, with Fraction(0.5) and then Threshold(0.25 * value range).
+# Recorded when the per-sample loop was isotonic_fit's only path.
+SIMPLIFY_BYTES_SEED7 = "a767a0c4f806c57826ef5870a4988f739e0d0428ea8449a2cbbdddb0eea1c99f"
+
+
+def test_simplify_output_bytes_unchanged():
+    digest = hashlib.sha256()
+    for n in (4096, 131072):
+        for kind in ("spike_train", "noisy_sine", "random_walk", "noisy_sine_rounded"):
+            series = generate_synthetic(kind.removesuffix("_rounded"), n, 7)
+            if kind.endswith("_rounded"):
+                series = TimeSeries(np.round(series.values))
+            value_range = float(np.ptp(series.values))
+            for policy in (Fraction(0.5), Threshold(0.25 * value_range)):
+                digest.update(simplify(series, policy).values.tobytes())
+    assert digest.hexdigest() == SIMPLIFY_BYTES_SEED7
