@@ -17,15 +17,25 @@ plateaus and few pairs), times:
 - ``wasserstein1`` and ``bottleneck`` between the two series' diagrams;
 - ``bottleneck`` between the diagrams of the walk and of its stride-6
   ``uniform_subsample``, a pair whose count bound falls short, so the
-  binary search over candidate costs runs at every size.
+  binary search over candidate costs runs at every size;
+- at n = 1024 and 4096 only, ``wasserstein1`` between the diagrams of the
+  walk and of its ``gaussian_filter`` with sigma 0.5, two diagrams of which
+  neither is a subset of the other.
+
+Then ``bottleneck`` between the diagrams of the seed-7 spike train at
+n=4096 and of its ``douglas_peucker`` at the fifth point (index 4) of the
+default grid, whose search makes 34 ``_covers_rows`` probes.
 
 Then ``simplify`` of the seed-7 noisy sine at n=131072 with
 ``Fraction(0.5)``, whose many short segments are pooled in lockstep, and
 with ``Threshold(0.25 * value range)``, whose few long ones go through the
 loop; ``diagram_of`` and ``simplify`` with ``Fraction(0.5)`` of the
 seed-7 spike train at n=131072 (long enough for the sweep to pair in whole-array rounds),
-and ``load_csv`` of that sine as ``write_series_csv`` writes it, each
-valued by a digest of its values or pairs, and ``evaluate_series`` of the
+each valued by a digest of its values or pairs. The I/O of that sine:
+``write_series_csv`` of it and ``load_csv`` of the file, ``write_pairs_csv``
+of its diagram, and ``svg_line_chart`` of it beside its ``Fraction(0.5)``
+simplification, as ``smooth --svg`` draws them, each valued by a digest of
+the values or of the bytes written. Then ``evaluate_series`` of the
 seed-7 spike train at n=1024 and of the seed-7 random walk and noisy sine
 at n=4096, each valued by a digest of all its sweep points. Last, two start-up
 times, each a fresh ``python -c`` process that imports the package from
@@ -105,7 +115,9 @@ def measure(src: Path) -> dict:
         approx_entropy,
         bottleneck,
         diagram_of,
+        douglas_peucker,
         evaluate_series,
+        gaussian_filter,
         generate_synthetic,
         load_csv,
         simplify,
@@ -113,13 +125,18 @@ def measure(src: Path) -> dict:
         wasserstein1,
         write_series_csv,
     )
+    from toposmooth.evaluate import default_grids
     from toposmooth.filters import douglas_peucker_indices
+    from toposmooth.io import svg_line_chart, write_pairs_csv
     from toposmooth.series import sample_std
 
     def pairs_key(diagram):
         indices = (diagram.birth_index.tolist(), diagram.death_index.tolist())
         values = (map(float.hex, c.tolist()) for c in (diagram.birth_value, diagram.death_value))
         return digest((list(zip(*indices, *values)), diagram.essential_min_index))
+
+    def bytes_key(data):
+        return hashlib.sha256(data).hexdigest()
 
     def values_key(series):
         return digest(np.ascontiguousarray(series.values, dtype="<f8").tobytes())
@@ -150,6 +167,14 @@ def measure(src: Path) -> dict:
         subsampled = diagram_of(uniform_subsample(walk, 6))
         stage(f"bottleneck/walk_vs_subsample6/n{n}",
               lambda: bottleneck(original, subsampled), float.hex)
+        if n <= 4096:
+            blurred = diagram_of(gaussian_filter(walk, 0.5))
+            stage(f"wasserstein1/walk_vs_gaussian0.5/n{n}",
+                  lambda: wasserstein1(original, blurred), float.hex)
+    train = generate_synthetic("spike_train", 4096, 7)
+    epsilon = default_grids(4096, float(np.ptp(train.values)))["douglas_peucker"][4]
+    pair = diagram_of(train), diagram_of(douglas_peucker(train, epsilon))
+    stage("bottleneck/spikes_vs_douglas_peucker4/n4096", lambda: bottleneck(*pair), float.hex)
     sine = generate_synthetic("noisy_sine", 131072, 7)
     stage("simplify/noisy_sine/n131072", lambda: simplify(sine, Fraction(0.5)), values_key)
     threshold = Threshold(0.25 * float(np.ptp(sine.values)))
@@ -158,9 +183,16 @@ def measure(src: Path) -> dict:
     stage("diagram_of/spike_train/n131072", lambda: diagram_of(spikes), pairs_key)
     stage("simplify/spike_train/n131072", lambda: simplify(spikes, Fraction(0.5)), values_key)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "noisy_sine.csv"
-        write_series_csv(path, sine)
+        path, pairs = Path(tmp) / "noisy_sine.csv", Path(tmp) / "pairs.csv"
+        stage("io/write_series_csv/n131072", lambda: write_series_csv(path, sine),
+              lambda _: bytes_key(path.read_bytes()))
         stage("io/load_csv/n131072", lambda: load_csv(path), values_key)
+        diagram = diagram_of(sine)
+        stage("io/write_pairs_csv/n131072", lambda: write_pairs_csv(pairs, diagram),
+              lambda _: bytes_key(pairs.read_bytes()))
+    lines = [("original", sine), ("topological", simplify(sine, Fraction(0.5)))]
+    stage("io/svg_line_chart/n131072", lambda: svg_line_chart(lines, "noisy_sine"),
+          lambda text: bytes_key(text.encode()))
     for kind, n in (("spike_train", 1024), ("random_walk", 4096), ("noisy_sine", 4096)):
         data = generate_synthetic(kind, n, 7)
         stage(f"evaluate_series/{kind}/n{n}", lambda: evaluate_series(data),

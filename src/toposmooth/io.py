@@ -65,23 +65,20 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_rows(path, header: list[str], columns) -> None:
+    """Write the header lines, then the columns' rows as ``repr``s of Python numbers."""
+    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+    Path(path).write_text("\n".join([*header, *rows]) + "\n", encoding="utf-8")
+
+
 def write_series_csv(path, series: TimeSeries) -> None:
-    lines = []
-    if series.positions is not None:
-        for x, y in zip(series.positions, series.values):
-            lines.append(f"{fmt(x)},{fmt(y)}")
-    else:
-        lines = [fmt(y) for y in series.values]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, [], [c for c in (series.positions, series.values) if c is not None])
 
 
 def write_pairs_csv(path, diagram: PersistenceDiagram) -> None:
     columns = (diagram.birth_index, diagram.death_index, diagram.birth_value,
                diagram.death_value, diagram.persistence)
-    lines = ["birth_index,death_index,birth,death,persistence"]
-    for birth_index, death_index, *floats in zip(*(c.tolist() for c in columns)):
-        lines.append(",".join([str(birth_index), str(death_index), *map(fmt, floats)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, ["birth_index,death_index,birth,death,persistence"], columns)
 
 
 def canonical_json(obj) -> str:
@@ -135,11 +132,13 @@ _PALETTE = (
 _W, _H, _M = 720, 400, 48
 
 
-def _scale(values, lo, hi, out_lo, out_hi):
+def _scale(values, lo, hi, out_lo, out_hi) -> list[float]:
+    values = np.asarray(values, dtype=np.float64)
     span = hi - lo if hi > lo else 1.0
-    if span == np.inf:  # finite ends more than the float range apart
-        values, lo, span = [v / 2 for v in values], lo / 2, hi / 2 - lo / 2
-    return [(v - lo) / span * (out_hi - out_lo) + out_lo for v in values]
+    with np.errstate(all="ignore"):  # Python's floats, which never warned: inf / inf is nan
+        if span == np.inf:  # finite ends more than the float range apart
+            values, lo, span = values / 2, lo / 2, hi / 2 - lo / 2
+        return ((values - lo) / span * (out_hi - out_lo) + out_lo).tolist()
 
 
 def _svg_text(x, y, anchor: str, size: int, content: str, fill: str | None = None) -> str:
@@ -174,7 +173,7 @@ def svg_line_chart(series_list: list[tuple[str, TimeSeries]], title: str) -> str
     for i, (name, s) in enumerate(series_list):
         px = _scale(s.xs, x_lo, x_hi, _M, _W - _M)
         py = _scale(s.values, y_lo, y_hi, _H - _M, _M)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+        pts = " ".join(map("{:.2f},{:.2f}".format, px, py))
         color = _PALETTE[i % len(_PALETTE)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
@@ -198,10 +197,10 @@ def svg_metric_scatter(
     parts = _svg_header(title)
     for i, method in enumerate(sorted(points_by_method)):
         color = _PALETTE[i % len(_PALETTE)]
-        for p in points_by_method[method]:
-            cx = _scale([p.entropy], x_lo, x_hi, _M, _W - _M)[0]
-            cy = _scale([getattr(p, metric)], y_lo, y_hi, _H - _M, _M)[0]
-            parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.5" fill="{color}"/>')
+        points = points_by_method[method]
+        cx = _scale([p.entropy for p in points], x_lo, x_hi, _M, _W - _M)
+        cy = _scale([getattr(p, metric) for p in points], y_lo, y_hi, _H - _M, _M)
+        parts += map(f'<circle cx="{{:.2f}}" cy="{{:.2f}}" r="2.5" fill="{color}"/>'.format, cx, cy)
         fit = fits.get((method, metric))
         if fit is not None:
             e0, e1 = fit.domain

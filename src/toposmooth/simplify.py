@@ -57,11 +57,10 @@ SimplifyPolicy = Threshold | Fraction
 
 # Samples refitted per isotonic_fit call in simplify, which holds its
 # samples, means and weights as Python lists or flat arrays of up to this
-# many entries. On perfbench's smooth_topo_n131072 (seed 7, two 8 s runs,
-# 2-CPU Xeon), 2**14-sample batches kept the peak RSS at 66.0 MB, while
-# one batch of every segment raised it to 76.0-76.1 MB and was no faster,
-# and one call per segment held 65.1-65.2 MB but ran 6.6-7 times slower.
-# The fit does not depend on it.
+# many entries. With the lockstep kernel, the eight seed-7 operations of
+# perfbench's smooth_topo_n131072 run in one process (2-CPU Xeon) peaked
+# at 51.1 MB of RSS in 2**14-sample batches and at 58.8-58.9 MB in one
+# batch of every segment. The fit does not depend on it.
 _PAV_SAMPLES = 2**14
 # isotonic_fit pools runs of at most _LOCKSTEP_LENGTH samples in lockstep
 # when it has at least _LOCKSTEP_RUNS of them. On the batches of seed-7
@@ -130,8 +129,12 @@ def isotonic_fit(values, *, starts=None) -> np.ndarray:
         raise ValueError("isotonic_fit expects a non-empty 1D sequence")
     if not np.isfinite(x).all():
         raise ValueError("isotonic_fit expects finite values")
-    bounds = np.append(np.asarray([0] if starts is None else starts), len(x))
-    if bounds.dtype.kind != "i" or bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
+    starts = np.asarray([0] if starts is None else starts)
+    integral = starts.dtype.kind in "iu"
+    # int64 before the length is appended, which would make unsigned starts
+    # float64; an unsigned start of 2**63 or more wraps negative and is refused.
+    bounds = np.append(starts.astype(np.int64, copy=False) if integral else starts, len(x))
+    if not integral or bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
         raise ValueError("starts must be integers increasing from 0 below the length")
     length = np.diff(bounds)
     short = length <= _LOCKSTEP_LENGTH

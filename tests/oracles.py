@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import fractions
 import math
 from itertools import combinations, permutations
 
@@ -142,8 +143,9 @@ def isotonic_best(values):
     return best_fit, best_sse
 
 
-def _all_matchings(a, b):
-    """Yield (total_l1, max_linf) over every augmented bijection."""
+def _all_matchings(a, b, zero=0.0):
+    """Yield (total_l1, max_linf) over every augmented bijection; each
+    total sums its costs in order, starting from ``zero``."""
     pa = [d - bd for bd, d in a]
     pb = [d - bd for bd, d in b]
     m, n = len(a), len(b)
@@ -151,7 +153,7 @@ def _all_matchings(a, b):
         for sub_a in combinations(range(m), k):
             for sub_b in combinations(range(n), k):
                 for perm in permutations(sub_b):
-                    total = 0.0
+                    total = zero
                     worst = 0.0
                     for i, j in zip(sub_a, perm):
                         db = abs(a[i][0] - b[j][0])
@@ -171,6 +173,13 @@ def _all_matchings(a, b):
 
 def exhaustive_wasserstein1(a, b) -> float:
     return min(t for t, _ in _all_matchings(list(a), list(b)))
+
+
+def exact_wasserstein1(a, b) -> fractions.Fraction:
+    """The exact W1 of float points: every cost and sum is a ``fractions.Fraction``."""
+    exact = fractions.Fraction
+    a, b = ([(exact(birth), exact(death)) for birth, death in c] for c in (a, b))
+    return min(t for t, _ in _all_matchings(a, b, zero=exact(0)))
 
 
 def exhaustive_bottleneck(a, b) -> float:

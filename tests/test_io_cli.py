@@ -132,6 +132,30 @@ def test_pairs_csv_is_the_pairs_one_per_line(tmp_path, name):
         assert expected[-1] == "5,2,-1e+308,1e+308,inf"
 
 
+def _scaled(v, lo, hi, out_lo, out_hi):
+    """One chart coordinate by Python float arithmetic, value by value."""
+    span = hi - lo if hi > lo else 1.0
+    if span == float("inf"):
+        v, lo, span = v / 2, lo / 2, hi / 2 - lo / 2
+    return (v - lo) / span * (out_hi - out_lo) + out_lo
+
+
+def test_column_writers_equal_a_per_value_loop(tmp_path):
+    # Ranges past the float maximum on both axes, a subnormal and a signed zero.
+    xs = [-1.7e308, -1.0, 0.0, 2.5, 1.7e308]
+    ys = [1e308, -1e308, 5e-324, -0.0, 1 / 3]
+    series = TimeSeries(ys, positions=xs)
+    path = tmp_path / "series.csv"
+    write_series_csv(path, series)
+    assert path.read_text() == "".join(f"{fmt(x)},{fmt(y)}\n" for x, y in zip(xs, ys))
+    chart = svg_line_chart([("a", series)], "wide")
+    points = chart.split('points="')[1].split('"')[0]
+    assert points == " ".join(
+        f"{_scaled(x, min(xs), max(xs), 48, 672):.2f},{_scaled(y, min(ys), max(ys), 352, 48):.2f}"
+        for x, y in zip(xs, ys)
+    )
+
+
 def test_fmt_round_trips():
     for v in (0.1, 1 / 3, 1e-17, -2.5, 12345.6789):
         assert float(fmt(v)) == v
@@ -215,6 +239,38 @@ class TestSvg:
         text = svg_metric_scatter("l1", pts, fits, "demo")
         assert text.count("<circle") == 2
         assert text.count("<line") == 1
+
+    def test_scatter_of_an_infinite_metric_draws_without_warnings(self):
+        # A W1 of inf (diagrams more than the float range apart) scales to
+        # nan, and a fit line past the float range to inf; numpy warns on
+        # both, and pyproject.toml turns warnings into errors.
+        from toposmooth.evaluate import FitLine, SweepPoint
+
+        inf = float("inf")
+        pts = {
+            "a": (SweepPoint("a", 1.0, 0.1, 1.0, 1.0, inf, 1.0),
+                  SweepPoint("a", 2.0, 0.5, 2.0, 2.0, 3.0, 1.0)),
+            "b": (SweepPoint("b", 1.0, 0.3, 1.0, 1.0, 1e308, 1.0),
+                  SweepPoint("b", 2.0, 0.4, 2.0, 2.0, 0.0, 1.0)),
+        }
+        fits = {("a", "w1"): FitLine(1e308, 0.0, (0.1, 0.5)), ("b", "w1"): FitLine(2.0, 1.0, (0.3, 0.4))}
+        text = svg_metric_scatter("w1", pts, fits, "demo")
+        assert text.splitlines()[4:] == [
+            '<circle cx="48.00" cy="nan" r="2.5" fill="#1f77b4"/>',
+            '<circle cx="672.00" cy="352.00" r="2.5" fill="#1f77b4"/>',
+            '<line x1="48.00" y1="352.00" x2="672.00" y2="352.00" stroke="#1f77b4" stroke-width="1"/>',
+            '<text x="668" y="64" text-anchor="end" font-family="sans-serif" font-size="11" '
+            'fill="#1f77b4">a</text>',
+            '<circle cx="360.00" cy="352.00" r="2.5" fill="#ff7f0e"/>',
+            '<circle cx="516.00" cy="352.00" r="2.5" fill="#ff7f0e"/>',
+            '<line x1="360.00" y1="352.00" x2="516.00" y2="352.00" stroke="#ff7f0e" stroke-width="1"/>',
+            '<text x="668" y="78" text-anchor="end" font-family="sans-serif" font-size="11" '
+            'fill="#ff7f0e">b</text>',
+            "</svg>",
+        ]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e6d70232ab9be6cb86b55070b572b52f5795f34e47576592075d043a740bf21f"
+        )
 
     def test_title_and_legend_text_escaped(self):
         from toposmooth.evaluate import SweepPoint

@@ -1,3 +1,5 @@
+import fractions
+
 import numpy as np
 import pytest
 from helpers import any_series, diagram_points, random_diagram, tie_rich_diagram_points
@@ -7,6 +9,7 @@ from oracles import (
     apen_dense,
     apen_direct,
     covers_rows_exhaustive,
+    exact_wasserstein1,
     exhaustive_bottleneck,
     exhaustive_wasserstein1,
     lower_bound,
@@ -29,6 +32,9 @@ from toposmooth import (
 )
 
 oracle_diagrams = st.one_of(diagram_points, tie_rich_diagram_points)
+# At most two points, so that a diagram made of several stays small enough
+# for the exhaustive oracles.
+few_tie_rich_points = tie_rich_diagram_points.map(lambda points: points[:2])
 
 # (values, r) cases rich in template distances exactly equal to r: integer
 # values with an integer r, values on a 0.1 grid, runs of equal values and
@@ -274,6 +280,39 @@ class TestDiagramDistances:
             c2 = random_diagram(rng, 5)
             assert abs(wasserstein1(c1, c2) - exhaustive_wasserstein1(c1, c2)) <= 1e-9
             assert abs(bottleneck(c1, c2) - exhaustive_bottleneck(c1, c2)) <= 1e-9
+
+
+class TestExactWasserstein:
+    """On small integer diagrams every float cost and partial sum is exact,
+    so ``wasserstein1`` must equal the exact minimum, not merely approach it."""
+
+    @given(tie_rich_diagram_points, tie_rich_diagram_points)
+    @settings(max_examples=80, deadline=None)
+    def test_tie_rich_diagrams(self, c1, c2):
+        assert wasserstein1(c1, c2) == exact_wasserstein1(c1, c2)
+
+    @given(few_tie_rich_points, few_tie_rich_points, few_tie_rich_points)
+    @settings(max_examples=40, deadline=None)
+    def test_shared_and_duplicated_points(self, c1, c2, shared):
+        for a, b in (
+            (c1 + shared, shared[::-1] + c2),
+            (c1 + c1 + shared, shared + c2),
+            (c1 + shared, c1 + shared),
+        ):
+            assert wasserstein1(a, b) == wasserstein1(b, a) == exact_wasserstein1(a, b)
+
+    @given(tie_rich_diagram_points)
+    @settings(max_examples=40, deadline=None)
+    def test_one_empty_side(self, c):
+        exact = exact_wasserstein1(c, [])
+        assert exact == sum(death - birth for birth, death in c)
+        assert wasserstein1(c, []) == wasserstein1([], c) == exact
+
+    def test_oracle_sums_exactly(self):
+        # 0.1 + 0.2 rounds as floats; the exact oracle does not round.
+        points = [(0.0, 0.1), (0.0, 0.2)]
+        assert exhaustive_wasserstein1(points, []) == 0.1 + 0.2 != 0.3
+        assert exact_wasserstein1(points, []) == fractions.Fraction(0.1) + fractions.Fraction(0.2)
 
 
 class TestCoversRows:

@@ -466,6 +466,22 @@ def test_isotonic_takes_numpy_integers_and_floats(dtype):
     assert _bits(isotonic_fit(values)) == _bits(expected) == _bits([2.0, 2.0, 2.0, 6.0, 6.0])
 
 
+def test_isotonic_takes_signed_and_unsigned_starts():
+    values = [3.0, 1.0, 2.0, 0.0, -0.0, 0.0, 5.0, 4.0]
+    fits = [
+        _bits(isotonic_fit(values, starts=np.array([0, 2, 4], dtype=dtype)))
+        for dtype in (np.uint8, np.uint64, np.int32, np.int64)
+    ]
+    assert fits == [_bits([2.0, 2.0, 1.0, 1.0, -0.0, 0.0, 4.5, 4.5])] * 4
+
+
+@pytest.mark.parametrize("starts", [[0, 2**63], [0, 2**64 - 1], [2**63]])
+def test_isotonic_refuses_unsigned_starts_that_wrap_negative(starts):
+    with pytest.raises(ValueError) as info:
+        isotonic_fit([3.0, 1.0, 2.0, 0.0], starts=np.array(starts, dtype=np.uint64))
+    assert str(info.value) == "starts must be integers increasing from 0 below the length"
+
+
 @pytest.mark.parametrize("mode", PAV_MODES)
 @pytest.mark.parametrize(
     "values",
