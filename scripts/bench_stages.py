@@ -30,8 +30,11 @@ Then ``simplify`` of the seed-7 noisy sine at n=131072 with
 ``Fraction(0.5)``, whose many short segments are pooled in lockstep, and
 with ``Threshold(0.25 * value range)``, whose few long ones go through the
 loop; ``diagram_of`` and ``simplify`` with ``Fraction(0.5)`` of the
-seed-7 spike train at n=131072 (long enough for the sweep to pair in whole-array rounds),
-each valued by a digest of its values or pairs. The I/O of that sine:
+seed-7 spike train at n=131072 (long enough for the sweep to pair in
+whole-array rounds), and ``simplify`` of it with ``Fraction(0.9)``, eight
+of whose nine ``isotonic_fit`` calls pool over 512 short runs in lockstep
+and a few long ones in the loop; each valued by a digest of its values or
+pairs. The I/O of that sine:
 ``write_series_csv`` of it and ``load_csv`` of the file, ``write_pairs_csv``
 of its diagram, and ``svg_line_chart`` of it beside its ``Fraction(0.5)``
 simplification, as ``smooth --svg`` draws them, each valued by a digest of
@@ -182,6 +185,8 @@ def measure(src: Path) -> dict:
     spikes = generate_synthetic("spike_train", 131072, 7)
     stage("diagram_of/spike_train/n131072", lambda: diagram_of(spikes), pairs_key)
     stage("simplify/spike_train/n131072", lambda: simplify(spikes, Fraction(0.5)), values_key)
+    stage("simplify/spike_train_fraction0.9/n131072",
+          lambda: simplify(spikes, Fraction(0.9)), values_key)
     with tempfile.TemporaryDirectory() as tmp:
         path, pairs = Path(tmp) / "noisy_sine.csv", Path(tmp) / "pairs.csv"
         stage("io/write_series_csv/n131072", lambda: write_series_csv(path, sine),

@@ -135,10 +135,13 @@ _W, _H, _M = 720, 400, 48
 def _scale(values, lo, hi, out_lo, out_hi) -> list[float]:
     values = np.asarray(values, dtype=np.float64)
     span = hi - lo if hi > lo else 1.0
-    with np.errstate(all="ignore"):  # Python's floats, which never warned: inf / inf is nan
+    with np.errstate(all="ignore"):  # Python's floats, which never warned
         if span == np.inf:  # finite ends more than the float range apart
             values, lo, span = values / 2, lo / 2, hi / 2 - lo / 2
-        return ((values - lo) / span * (out_hi - out_lo) + out_lo).tolist()
+        scaled = (values - lo) / span * (out_hi - out_lo) + out_lo
+    # An infinite coordinate is drawn on the frame edge it points to.
+    low, high = sorted((out_lo, out_hi))
+    return np.nan_to_num(scaled, nan=np.nan, posinf=high, neginf=low).tolist()
 
 
 def _svg_text(x, y, anchor: str, size: int, content: str, fill: str | None = None) -> str:
@@ -192,8 +195,9 @@ def svg_metric_scatter(
     """Metric-versus-entropy scatter with each method's fitted line."""
     xs = [p.entropy for pts in points_by_method.values() for p in pts]
     ys = [getattr(p, metric) for pts in points_by_method.values() for p in pts]
+    finite = [y for y in ys if -np.inf < y < np.inf]
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(0.0, min(ys)), max(ys)
+    y_lo, y_hi = min([0.0, *finite]), max(finite, default=0.0)
     parts = _svg_header(title)
     for i, method in enumerate(sorted(points_by_method)):
         color = _PALETTE[i % len(_PALETTE)]

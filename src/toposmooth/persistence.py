@@ -50,9 +50,11 @@ class ExtremaPair:
 class PersistenceDiagram:
     """All finite pairs of a series plus the essential (never-dying) record.
 
-    The pairs are four parallel columns sorted by ascending persistence,
-    ties by ascending birth index. ``essential_min_index`` is the index of
-    the global minimum, whose component survives the whole sweep.
+    The pairs are four parallel columns sorted by ascending persistence
+    (those whose persistence overflowed by their true persistence, see
+    ``sort_keys``), ties by ascending birth index. ``essential_min_index``
+    is the index of the global minimum, whose component survives the
+    whole sweep.
     """
 
     birth_index: np.ndarray
@@ -66,7 +68,7 @@ class PersistenceDiagram:
 
     @property
     def persistence(self) -> np.ndarray:
-        with np.errstate(over="ignore"):  # +inf past the float range, as in diagram_of
+        with np.errstate(over="ignore"):  # +inf past the float range, as in sort_keys
             return self.death_value - self.birth_value
 
     @cached_property
@@ -165,6 +167,20 @@ def _sweep(value: np.ndarray, is_min: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return death[dying] + first, dying + first
 
 
+def sort_keys(birth_value: np.ndarray, death_value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs' order: persistence, then half of it where it overflowed.
+
+    Finite values more than the float range apart have persistence +inf,
+    which is the intended value, so numpy need not warn about it. Halving
+    such values is exact and their difference cannot overflow, so the
+    second key orders those pairs by their true persistence; it is 0
+    wherever the persistence is finite.
+    """
+    with np.errstate(over="ignore"):
+        persistence = death_value - birth_value
+    return persistence, np.where(np.isinf(persistence), death_value / 2 - birth_value / 2, 0.0)
+
+
 def diagram_of(values) -> PersistenceDiagram:
     """Persistence diagram of a series or of raw values.
 
@@ -177,12 +193,10 @@ def diagram_of(values) -> PersistenceDiagram:
     maxima, dying = _sweep(values[extrema.index], extrema.is_min)
     birth, death = extrema.index[dying], extrema.index[maxima]
     birth_value, death_value = values[birth], values[death]
-    # Finite values more than the float range apart have persistence +inf,
-    # which is the intended value, so numpy need not warn about it. The
-    # pairs come in birth order and births are unique, so a stable sort by
-    # persistence orders ties by birth.
-    with np.errstate(over="ignore"):
-        order = np.argsort(death_value - birth_value, kind="stable")
+    # The pairs come in birth order and births are unique, so a stable sort
+    # by the keys orders ties by birth.
+    persistence, half = sort_keys(birth_value, death_value)
+    order = np.lexsort((half, persistence))
     # The first global minimum starts its run, so it is the collapsed index.
     return PersistenceDiagram(
         birth[order], death[order], birth_value[order], death_value[order], int(np.argmin(values))

@@ -27,7 +27,7 @@ from itertools import compress
 
 import numpy as np
 
-from .persistence import ExtremaPair, PersistenceDiagram, diagram_of
+from .persistence import ExtremaPair, PersistenceDiagram, diagram_of, sort_keys
 from .series import TimeSeries, real_argument
 
 
@@ -73,24 +73,26 @@ _LOCKSTEP_RUNS = 512
 
 def _retained(diagram: PersistenceDiagram, policy: SimplifyPolicy) -> np.ndarray:
     """Boolean mask over the diagram's pairs: True where the policy keeps the pair."""
-    persistence = diagram.persistence
     keep = np.ones(len(diagram), dtype=bool)
     if isinstance(policy, Threshold):
         # The pairs are sorted by persistence, so the removed ones are a prefix.
-        keep[: np.searchsorted(persistence, policy.value, "left")] = False
+        keep[: np.searchsorted(diagram.persistence, policy.value, "left")] = False
     elif isinstance(policy, Fraction):
-        # Remove the first `cut` pairs in (persistence, width, birth) order.
-        # Equal-persistence pairs can nest; the narrower (inner) interval
-        # must be removed first or flattening the outer one would destroy a
-        # retained pair. Nesting implies p_inner <= p_outer, so ordering
-        # ties by interval width keeps every rank prefix structurally
-        # removable. The pairs are sorted by persistence, ties by birth, so
-        # only the tie group at the cut needs ordering, and a stable sort
-        # by width keeps its births in order.
+        # Remove the first `cut` pairs in (persistence, width, birth) order,
+        # persistence being the two keys of sort_keys. Equal-persistence
+        # pairs can nest; the narrower (inner) interval must be removed
+        # first or flattening the outer one would destroy a retained pair.
+        # Nesting implies p_inner <= p_outer, so ordering ties by interval
+        # width keeps every rank prefix structurally removable. The pairs
+        # are sorted by both keys, ties by birth, so only the tie group at
+        # the cut needs ordering, and a stable sort by width keeps its
+        # births in order. Each key is sorted, so the pairs equal in both
+        # are where the two keys' tie ranges meet.
         cut = math.floor(policy.value * len(diagram))
         if cut:
-            first = int(np.searchsorted(persistence, persistence[cut - 1], "left"))
-            ties = slice(first, int(np.searchsorted(persistence, persistence[cut - 1], "right")))
+            keys = sort_keys(diagram.birth_value, diagram.death_value)
+            first = max(int(np.searchsorted(k, k[cut - 1], "left")) for k in keys)
+            ties = slice(first, min(int(np.searchsorted(k, k[cut - 1], "right")) for k in keys))
             width = np.abs(diagram.death_index[ties] - diagram.birth_index[ties])
             keep[:first] = False
             keep[first + np.argsort(width, kind="stable")[: cut - first]] = False
@@ -134,7 +136,7 @@ def isotonic_fit(values, *, starts=None) -> np.ndarray:
     # int64 before the length is appended, which would make unsigned starts
     # float64; an unsigned start of 2**63 or more wraps negative and is refused.
     bounds = np.append(starts.astype(np.int64, copy=False) if integral else starts, len(x))
-    if not integral or bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
+    if not integral or starts.ndim != 1 or bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
         raise ValueError("starts must be integers increasing from 0 below the length")
     length = np.diff(bounds)
     short = length <= _LOCKSTEP_LENGTH
@@ -189,8 +191,9 @@ def _pav_lockstep(x: np.ndarray, length: np.ndarray) -> np.ndarray:
     whose stack top is above its new block, with the loop's operations.
     """
     # Run k's stack is a slice of the flat arrays that opens with a -inf
-    # block of weight 0 at slot k plus the run's offset in x. Taken longest
-    # first, the runs longer than t are the first active[t].
+    # block of weight 0 at slot k plus the run's offset in x; a popped
+    # block's weight is zeroed, so np.repeat drops it as the loop's pop does.
+    # Taken longest first, the runs longer than t are the first active[t].
     order = np.argsort(-length, kind="stable")
     start = (np.cumsum(length) - length)[order]
     top = start + order
@@ -207,6 +210,7 @@ def _pav_lockstep(x: np.ndarray, length: np.ndarray) -> np.ndarray:
             while len(pool):
                 at = tops[pool]
                 pm, pw = means[at], weights[at]
+                weights[at] = 0
                 m[pool] = (m[pool] * w[pool] + pm * pw) / (w[pool] + pw)
                 w[pool] += pw
                 tops[pool] = at - 1
@@ -214,11 +218,7 @@ def _pav_lockstep(x: np.ndarray, length: np.ndarray) -> np.ndarray:
             tops += 1
             means[tops] = m
             weights[tops] = w
-    # Slots above a run's top hold popped blocks.
-    last = np.empty_like(top)
-    last[order] = top
-    kept = np.arange(len(means)) <= np.repeat(last, length + 1)
-    return np.repeat(means[kept], weights[kept])
+    return np.repeat(means, weights)
 
 
 def _refit(

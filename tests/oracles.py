@@ -374,17 +374,31 @@ def _pav(values):
     return np.repeat(means, weights)
 
 
+def _fraction_ranked(diagram) -> list[int]:
+    """The diagram's pair indices in the order a ``Fraction`` removes them.
+
+    One full sort by (persistence, exact persistence where the float one
+    overflowed to +inf, interval width, birth index); the exact persistence
+    is the ``fractions.Fraction`` difference of the two values.
+    """
+    exact = fractions.Fraction
+    columns = (diagram.persistence, diagram.birth_value, diagram.death_value,
+               diagram.birth_index, diagram.death_index)
+    keys = [
+        (p, exact(dv) - exact(bv) if math.isinf(p) else 0, abs(d - b), b)
+        for p, bv, dv, b, d in zip(*(c.tolist() for c in columns))
+    ]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def fraction_kept(diagram, fraction: float) -> np.ndarray:
     """Which pairs of a diagram ``Fraction(fraction)`` keeps, by one full sort.
 
-    Ranks every pair by (persistence, interval width, birth index) in one
-    three-key lexsort and removes the floor(fraction * m) first; True marks
-    a kept pair.
+    Removes the floor(fraction * m) first pairs in ``_fraction_ranked``
+    order; True marks a kept pair.
     """
-    width = np.abs(diagram.death_index - diagram.birth_index)
-    ranked = np.lexsort((diagram.birth_index, width, diagram.persistence))
     keep = np.ones(len(diagram), dtype=bool)
-    keep[ranked[: math.floor(fraction * len(diagram))]] = False
+    keep[_fraction_ranked(diagram)[: math.floor(fraction * len(diagram))]] = False
     return keep
 
 
@@ -393,19 +407,17 @@ def simplify_anchors(n: int, diagram, policy) -> list[int]:
 
     ``diagram`` is the series' persistence diagram and ``policy`` is a
     ``Threshold`` or a ``Fraction``. A threshold removes every pair below
-    it; a fraction removes the floor(q * m) first pairs in (persistence,
-    interval width, birth index) order. The anchors are both boundary
-    samples, the essential minimum and the ends of every retained pair.
+    it; a fraction removes the floor(q * m) first pairs in
+    ``_fraction_ranked`` order. The anchors are both boundary samples, the
+    essential minimum and the ends of every retained pair.
     """
     columns = (diagram.birth_index, diagram.death_index, diagram.persistence)
     pairs = list(zip(*(c.tolist() for c in columns)))
     if type(policy).__name__ == "Threshold":
         retained = [(b, d) for b, d, p in pairs if not p < policy.value]
     else:
-        ranked = sorted(pairs, key=lambda pair: (pair[2], abs(pair[1] - pair[0]), pair[0]))
-        # Births are unique, so a birth index names its pair.
-        removed = {b for b, _, _ in ranked[: math.floor(policy.value * len(pairs))]}
-        retained = [(b, d) for b, d, _ in pairs if b not in removed]
+        removed = set(_fraction_ranked(diagram)[: math.floor(policy.value * len(pairs))])
+        retained = [(b, d) for i, (b, d, _) in enumerate(pairs) if i not in removed]
     return sorted(
         {0, n - 1, diagram.essential_min_index} | {i for pair in retained for i in pair}
     )

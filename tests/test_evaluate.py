@@ -523,6 +523,13 @@ class TestEvaluateSeries:
         assert info.type is ValueError
         assert str(info.value) == "series is constant; entropy calibration undefined"
 
+    def test_disjoint_entropy_ranges_rejected(self):
+        with pytest.raises(EvaluationError) as info:
+            evaluate_series(TimeSeries([0, 1, 0, 1, 0]))
+        assert str(info.value) == (
+            "entropy ranges of the methods do not overlap (intersection [0.0, -0.0566330122651324])"
+        )
+
     def test_failures_listed_by_method_points_then_fit(self, series, monkeypatch):
         # Each method's point failures in grid order, then its fit failure;
         # methods in sorted order.

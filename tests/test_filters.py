@@ -88,6 +88,9 @@ class TestGaussian:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             gaussian_filter(TimeSeries([1, 2]), -0.5)
+        with pytest.raises(ValueError) as info:
+            gaussian_filter(TimeSeries([1, 2]), float("nan"))
+        assert str(info.value) == "sigma must be finite, got nan"
 
     @given(float_series, st.floats(0.2, 4.0, allow_nan=False))
     def test_matches_direct_oracle(self, values, sigma):
@@ -171,6 +174,9 @@ class TestDouglasPeucker:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             douglas_peucker(TimeSeries([1, 2]), -0.1)
+        with pytest.raises(ValueError) as info:
+            douglas_peucker_indices(TimeSeries([1, 2]), float("inf"))
+        assert str(info.value) == "epsilon must be finite, got inf"
 
     @given(float_series, st.floats(0.0, 5.0, allow_nan=False))
     def test_residual_bounded_by_epsilon(self, values, epsilon):

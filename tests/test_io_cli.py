@@ -44,6 +44,20 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 2"):
             load_csv(p)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2,3\n", "line 1: expected 1 or 2 columns, got 3"),
+            ("0,1\n2\n", "mixed 1-column and 2-column rows"),
+        ],
+    )
+    def test_bad_columns_reported(self, tmp_path, text, message):
+        p = tmp_path / "c.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_csv(p)
+        assert str(info.value) == message
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("# comment\n\n1\n# more\n2\n")
@@ -241,9 +255,9 @@ class TestSvg:
         assert text.count("<line") == 1
 
     def test_scatter_of_an_infinite_metric_draws_without_warnings(self):
-        # A W1 of inf (diagrams more than the float range apart) scales to
-        # nan, and a fit line past the float range to inf; numpy warns on
-        # both, and pyproject.toml turns warnings into errors.
+        # A W1 of inf (diagrams more than the float range apart) is drawn on
+        # the top edge, and the y range is that of the finite values; numpy
+        # must not warn, and pyproject.toml turns warnings into errors.
         from toposmooth.evaluate import FitLine, SweepPoint
 
         inf = float("inf")
@@ -256,12 +270,12 @@ class TestSvg:
         fits = {("a", "w1"): FitLine(1e308, 0.0, (0.1, 0.5)), ("b", "w1"): FitLine(2.0, 1.0, (0.3, 0.4))}
         text = svg_metric_scatter("w1", pts, fits, "demo")
         assert text.splitlines()[4:] == [
-            '<circle cx="48.00" cy="nan" r="2.5" fill="#1f77b4"/>',
+            '<circle cx="48.00" cy="48.00" r="2.5" fill="#1f77b4"/>',
             '<circle cx="672.00" cy="352.00" r="2.5" fill="#1f77b4"/>',
-            '<line x1="48.00" y1="352.00" x2="672.00" y2="352.00" stroke="#1f77b4" stroke-width="1"/>',
+            '<line x1="48.00" y1="321.60" x2="672.00" y2="200.00" stroke="#1f77b4" stroke-width="1"/>',
             '<text x="668" y="64" text-anchor="end" font-family="sans-serif" font-size="11" '
             'fill="#1f77b4">a</text>',
-            '<circle cx="360.00" cy="352.00" r="2.5" fill="#ff7f0e"/>',
+            '<circle cx="360.00" cy="48.00" r="2.5" fill="#ff7f0e"/>',
             '<circle cx="516.00" cy="352.00" r="2.5" fill="#ff7f0e"/>',
             '<line x1="360.00" y1="352.00" x2="516.00" y2="352.00" stroke="#ff7f0e" stroke-width="1"/>',
             '<text x="668" y="78" text-anchor="end" font-family="sans-serif" font-size="11" '
@@ -269,8 +283,24 @@ class TestSvg:
             "</svg>",
         ]
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "e6d70232ab9be6cb86b55070b572b52f5795f34e47576592075d043a740bf21f"
+            "626f03267ff95c33ad5a7a1eabb88c437d1911f9b903ad0ddade5dc6e15458da"
         )
+
+    def test_scatter_draws_infinities_on_the_frame_edges(self):
+        # -inf on the bottom edge and +inf on the top one, the fit line too;
+        # with no finite value the range is [0, 0].
+        from toposmooth.evaluate import FitLine, SweepPoint
+
+        inf = float("inf")
+        pts = {"a": (SweepPoint("a", 1.0, 0.1, 1.0, 1.0, -inf, 1.0),
+                     SweepPoint("a", 2.0, 0.5, 2.0, 2.0, inf, 1.0))}
+        text = svg_metric_scatter("w1", pts, {("a", "w1"): FitLine(-inf, 0.0, (0.1, 0.5))}, "demo")
+        assert text.splitlines()[4:7] == [
+            '<circle cx="48.00" cy="352.00" r="2.5" fill="#1f77b4"/>',
+            '<circle cx="672.00" cy="48.00" r="2.5" fill="#1f77b4"/>',
+            '<line x1="48.00" y1="352.00" x2="672.00" y2="352.00" stroke="#1f77b4" stroke-width="1"/>',
+        ]
+        assert "nan" not in text and "inf" not in text
 
     def test_title_and_legend_text_escaped(self):
         from toposmooth.evaluate import SweepPoint
@@ -308,7 +338,7 @@ class TestCli:
         printed = capsys.readouterr().out.strip()
         assert float(printed) >= 0.0
 
-    def test_validation_error_exit_code(self, tmp_path):
+    def test_validation_error_exit_code(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("1\n2\n3\n")
         out = tmp_path / "out.csv"
@@ -316,6 +346,15 @@ class TestCli:
         code = main(["smooth", "--input", str(data), "--method", "median",
                      "--param", "4", "--output", str(out)])
         assert code == 1
+        capsys.readouterr()
+        data.write_text("1,2,3\n")
+        code = main(["smooth", "--input", str(data), "--method", "median",
+                     "--param", "3", "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 1: expected 1 or 2 columns, got 3"
+        ]
+        assert not out.exists()
 
     def test_io_error_exit_code(self, tmp_path):
         code = main(["persistence", "--input", str(tmp_path / "missing.csv"),
@@ -506,6 +545,18 @@ class TestCli:
         assert captured.out == ""
         assert not out_dir.exists()
 
+    def test_disjoint_entropy_ranges_are_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("0\n1\n0\n1\n0\n")
+        out_dir = tmp_path / "results"
+        assert main(["evaluate", "--input", str(data), "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: entropy ranges of the methods do not overlap "
+            "(intersection [0.0, -0.0566330122651324])"
+        ]
+        assert not out_dir.exists()
+
     def test_config_value_checked_like_a_flag(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("1\n2\n3\n")
@@ -533,6 +584,10 @@ class TestCli:
         assert main(["synth", "--config", str(config), "--output", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: config line {line.strip()!r} has no key"]
+        assert not out.exists()
+        config.write_text("kind=noisy-sine\nfoo\n")
+        assert main(["--config", str(config), "synth", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: config line 'foo' is not key=value"]
         assert not out.exists()
 
     def test_config_equals_form(self, tmp_path):

@@ -126,6 +126,12 @@ class TestDiagramDistances:
         assert distance([(2.0, 2.0)], [(0.0, 1.0)]) == distance([], [(0.0, 1.0)])
 
     @pytest.mark.parametrize("distance", [wasserstein1, bottleneck])
+    def test_raw_point_that_is_not_finite_rejected(self, distance):
+        with pytest.raises(ValueError) as info:
+            distance([(0.0, float("inf"))], [])
+        assert str(info.value) == "diagram points must be finite"
+
+    @pytest.mark.parametrize("distance", [wasserstein1, bottleneck])
     @pytest.mark.parametrize(
         "point",
         [(0.0, 1.0, 5.0), (True, 2.0), ("0", "1"), (0.0,), 1.0],

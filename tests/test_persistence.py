@@ -42,6 +42,27 @@ def test_four_point_example():
     assert_matches_oracle([0, 2, 1, 3])
 
 
+def test_overflowed_persistences_order_by_true_persistence():
+    # Both pairs have persistence inf; the birth-4 pair's true persistence
+    # (2.9e308) is below the birth-2 pair's (3.0e308), so it comes first.
+    d = diagram_of(TimeSeries([-1.6e308, 1.4e308, -1.6e308, 1.4e308, -1.5e308]))
+    assert diagram_rows(d, "birth_index", "death_index", "persistence") == [
+        (4, 3, float("inf")),
+        (2, 1, float("inf")),
+    ]
+
+
+def test_finite_ties_beside_an_overflowed_pair_break_by_birth():
+    # Births 2 and 4 tie at persistence 1; the pair born at 6 overflows.
+    d = diagram_of([0, 2, 1, 3, 2, 4, -1e308, 1.5e308, -1.5e308])
+    assert diagram_rows(d, "birth_index", "persistence") == [
+        (2, 1.0),
+        (4, 1.0),
+        (0, 4.0),
+        (6, float("inf")),
+    ]
+
+
 def test_monotone_has_no_pairs():
     d = diagram_of([3, 2, 1])
     assert diagram_rows(d, *PAIR_COLUMNS) == []

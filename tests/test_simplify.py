@@ -42,6 +42,14 @@ from toposmooth import persistence as persistence_module
 simplify_module = importlib.import_module("toposmooth.simplify")
 
 
+# Pairs of these values can overflow to persistence inf. Two overflowed
+# pairs tie exactly when their values have the same magnitudes, so the
+# half-persistence orders them as their exact persistence does.
+past_the_float_range = st.lists(
+    st.sampled_from([-1.7e308, -1.5e308, 0.0, 1.0, 1.5e308, 1.7e308]), min_size=2, max_size=16
+)
+
+
 def make_diagram(persistences):
     k = len(persistences)
     return PersistenceDiagram(
@@ -81,6 +89,9 @@ class TestSelectPairs:
             Fraction(1.5)
         with pytest.raises(ValueError):
             Fraction(-0.1)
+        with pytest.raises(TypeError) as info:
+            simplify(TimeSeries([0.0, 1.0, 0.0]), 0.5)
+        assert str(info.value) == "unknown policy 0.5"
 
     @pytest.mark.parametrize(
         "policy, name, value",
@@ -127,7 +138,7 @@ class TestSelectPairs:
         assert not set(retained) & set(removed)
 
     @settings(max_examples=300)
-    @given(plateau_series)
+    @given(st.one_of(plateau_series, past_the_float_range))
     def test_fraction_orders_only_the_tie_group_at_the_cut(self, values):
         # Every cut from 0 to m: none, all, and each place inside a group of
         # equal persistence, where the narrower intervals go first.
@@ -165,10 +176,13 @@ class TestIsotonic:
         with pytest.raises(ValueError, match="isotonic_fit expects finite values"):
             isotonic_fit([1.0, 3.0, bad, 4.0], starts=[0, 2])
 
-    @pytest.mark.parametrize("starts", [[], [1], [0, 0], [0, 3, 2], [0, 4], [0.0, 2.0]])
+    @pytest.mark.parametrize(
+        "starts", [[], [1], [0, 0], [0, 3, 2], [0, 4], [0.0, 2.0], np.array([[0], [2]])]
+    )
     def test_rejects_bad_starts(self, starts):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             isotonic_fit([1.0, 3.0, 2.0, 4.0], starts=starts)
+        assert str(info.value) == "starts must be integers increasing from 0 below the length"
 
     def test_starts_keep_pools_inside_runs(self):
         # Pooled as one run, 3 and 2 would pool across the start at 2.
@@ -515,6 +529,20 @@ def test_simplify_fits_segments_whose_sums_overflow():
     assert _bits(out) == _bits(scaled)
     # The segment 0 .. 7 rises, so its six inner samples pool to their mean.
     assert out[1:7].tolist() == pytest.approx([float(np.sum(values[1:7] / 6))] * 6, rel=1e-15)
+
+
+def test_fraction_removes_the_less_persistent_overflowed_pair():
+    # Both pairs have persistence inf. The birth-4 pair (true persistence
+    # 2.9e308) goes first, so the birth-2 pair (3.0e308) stays anchored.
+    values = [-1.6e308, 1.4e308, -1.6e308, 1.4e308, -1.5e308]
+    d = diagram_of(values)
+    keep = simplify_module._retained(d, Fraction(0.5))
+    assert diagram_rows(d, "birth_index", where=~keep) == [(4,)]
+    assert keep.tolist() == fraction_kept(d, 0.5).tolist()
+    assert simplify_module._retained(d, Threshold(1e308)).all()
+    out = simplify(TimeSeries(values), Fraction(0.5)).values
+    assert out.tolist() == [-1.6e308, 1.4e308, -1.6e308, -1.5e308, -1.5e308]
+    assert _bits(out) == _bits(simplify_all_segments(values, d, Fraction(0.5)))
 
 
 def _per_run_oracle(values, starts) -> np.ndarray:
