@@ -304,22 +304,28 @@ def sweep(
 
 
 def fit_line(points: list[tuple[float, float]]) -> FitLine:
-    """Ordinary least-squares line through (entropy, metric) points."""
+    """Ordinary least-squares line through (entropy, metric) points.
+
+    A non-finite point, and a fit whose slope or intercept is not finite,
+    are refused.
+    """
     if len(points) < 2:
         raise EvaluationError(f"need >= 2 points to fit, got {len(points)}")
     xs = np.asarray([p[0] for p in points], dtype=np.float64)
     ys = np.asarray([p[1] for p in points], dtype=np.float64)
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise EvaluationError(f"cannot fit the non-finite point {(xs[k].item(), ys[k].item())}")
     if np.all(xs == xs[0]):
         raise EvaluationError("degenerate fit: all entropy values equal")
-    x_mean, y_mean = float(xs.mean()), float(ys.mean())
-    sxx = float(np.sum((xs - x_mean) ** 2))
-    sxy = float(np.sum((xs - x_mean) * (ys - y_mean)))
-    slope = sxy / sxx
-    return FitLine(
-        slope=slope,
-        intercept=y_mean - slope * x_mean,
-        domain=(float(xs.min()), float(xs.max())),
-    )
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned
+        x_mean, y_mean = xs.mean(), ys.mean()
+        slope = np.sum((xs - x_mean) * (ys - y_mean)) / np.sum((xs - x_mean) ** 2)
+        intercept = y_mean - slope * x_mean
+    if not (np.isfinite(slope) and np.isfinite(intercept)):
+        raise EvaluationError(f"the fit overflowed: slope {slope}, intercept {intercept}")
+    return FitLine(float(slope), float(intercept), (float(xs.min()), float(xs.max())))
 
 
 def auc(fit: FitLine, shared_domain: tuple[float, float]) -> float:
@@ -408,13 +414,13 @@ def evaluate_series(
     for method, (points, fails) in scored.items():
         failures.extend(fails)
         all_points[method] = tuple(sorted(points, key=lambda p: p.parameter))
-        # The four fits share the method's entropies and its domain, so they
-        # all succeed or all fail; a method is rankable iff its fits exist.
+        # The four fits are added together, so they all succeed or all fail;
+        # a method is rankable iff its fits exist.
         try:
-            for metric in METRIC_NAMES:
-                fits[(method, metric)] = fit_line(
-                    [(p.entropy, getattr(p, metric)) for p in points]
-                )
+            fits |= {
+                (method, metric): fit_line([(p.entropy, getattr(p, metric)) for p in points])
+                for metric in METRIC_NAMES
+            }
         except EvaluationError as exc:
             failures.append(f"{method}: {exc}")
 

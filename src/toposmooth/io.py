@@ -60,25 +60,22 @@ def load_csv(path) -> TimeSeries:
     return TimeSeries(values, positions or None, label=Path(path).stem)
 
 
-def fmt(x: float) -> str:
-    """Shortest decimal representation that round-trips exactly."""
-    return repr(float(x))
-
-
 def _write_rows(path, header: list[str], columns) -> None:
-    """Write the header lines, then the columns' rows as ``repr``s of Python numbers."""
-    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+    """Write the header lines, then the columns' rows, each Python value as its
+    ``str`` (for a float, the shortest text that round-trips)."""
+    rows = map(",".join, zip(*(map(str, c) for c in columns)))
     Path(path).write_text("\n".join([*header, *rows]) + "\n", encoding="utf-8")
 
 
 def write_series_csv(path, series: TimeSeries) -> None:
-    _write_rows(path, [], [c for c in (series.positions, series.values) if c is not None])
+    _write_rows(path, [], [c.tolist() for c in (series.positions, series.values) if c is not None])
 
 
 def write_pairs_csv(path, diagram: PersistenceDiagram) -> None:
     columns = (diagram.birth_index, diagram.death_index, diagram.birth_value,
                diagram.death_value, diagram.persistence)
-    _write_rows(path, ["birth_index,death_index,birth,death,persistence"], columns)
+    _write_rows(path, ["birth_index,death_index,birth,death,persistence"],
+                [c.tolist() for c in columns])
 
 
 def canonical_json(obj) -> str:
@@ -110,11 +107,8 @@ def write_report_json(path, result: EvaluationResult, config_echo: dict) -> None
 
 def write_sweep_csv(path, result: EvaluationResult) -> None:
     names = [field.name for field in fields(SweepPoint)]
-    lines = [",".join(names)]
-    for method in sorted(result.sweep_points):
-        for p in result.sweep_points[method]:
-            lines.append(",".join([p.method, *(fmt(getattr(p, name)) for name in names[1:])]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    points = [p for method in sorted(result.sweep_points) for p in result.sweep_points[method]]
+    _write_rows(path, [",".join(names)], [[getattr(p, n) for p in points] for n in names])
 
 
 # --- static SVG charts -----------------------------------------------------

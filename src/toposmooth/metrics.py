@@ -17,6 +17,8 @@ feasible iff each side's forced points can be matched within t.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .series import TimeSeries, integer_argument, real_argument, sample_std
@@ -120,11 +122,9 @@ def _covers_rows(adjacent: np.ndarray) -> bool:
     # Flat indices in increasing order list the edges row by row, which is
     # CSR order; 2-D np.nonzero gives the same pairs about 4x slower.
     rows, cols = np.divmod(np.flatnonzero(adjacent), adjacent.shape[1])
-    degree = np.bincount(rows, minlength=len(adjacent))
-    if not degree.all():  # a row without an edge cannot be covered
-        return False
-    indptr = np.concatenate(([0], np.cumsum(degree)))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(adjacent)))))
     graph = csr_matrix((np.ones(len(cols), dtype=bool), cols, indptr), shape=adjacent.shape)
+    # A row without an edge is left unmatched, so it is not covered.
     match = maximum_bipartite_matching(graph, perm_type="column")
     return bool(np.all(match >= 0))
 
@@ -177,16 +177,9 @@ def bottleneck(c, c_prime) -> float:
     halves = np.concatenate([half_a, half_b])
     candidates = np.unique(np.concatenate([cross.ravel(), halves]))
     # Sending every point to the diagonal costs the largest half-persistence,
-    # so the largest candidate kept is feasible.
+    # so the largest candidate kept is feasible and is never probed.
     candidates = candidates[(candidates > bound) & (candidates <= halves.max())]
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(float(candidates[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(candidates[lo])
+    return float(candidates[bisect_left(candidates, True, hi=len(candidates) - 1, key=feasible)])
 
 
 def _run_ends(x: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -417,6 +417,24 @@ class TestFitLine:
         with pytest.raises(EvaluationError):
             fit_line([(1.0, 0.0)])
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([(0.1, np.inf), (0.5, 3.0)], "cannot fit the non-finite point (0.1, inf)"),
+            ([(0.2, 1.0), (np.nan, 3.0)], "cannot fit the non-finite point (nan, 3.0)"),
+            (
+                [(0.1, 1e308), (0.5, -1e308), (0.3, 1e308)],
+                "the fit overflowed: slope -inf, intercept inf",
+            ),
+        ],
+    )
+    def test_non_finite_fit_refused_without_warnings(self, points, message):
+        # pyproject.toml turns warnings into errors, so a numpy warning fails here.
+        with pytest.raises(EvaluationError) as info:
+            fit_line(points)
+        assert info.type is EvaluationError
+        assert str(info.value) == message
+
 
 class TestAuc:
     def test_flat_line(self):
@@ -555,3 +573,26 @@ class TestEvaluateSeries:
         ]
         assert result.ranks["l1"]["gaussian"]["unrankable"]
         assert len(result.sweep_points["cutoff"]) == len(grids["cutoff"]) - 3
+
+    def test_one_unfittable_metric_leaves_the_method_without_fits(self, series, monkeypatch):
+        # Only the median's l-infinity norms are infinite; its other three
+        # fits succeed alone, but a method has all four fits or none.
+        median, linf, smoothed = METHODS["median"], evaluate.norm_linf, []
+
+        def apply(s, window):
+            smoothed.append(median.apply(s, window))
+            return smoothed[-1]
+
+        monkeypatch.setitem(METHODS, "median", median._replace(apply=apply))
+        monkeypatch.setattr(
+            evaluate,
+            "norm_linf",
+            lambda a, b: np.inf if any(b is out for out in smoothed) else linf(a, b),
+        )
+        result = evaluate_series(series)
+        entropy = result.sweep_points["median"][0].entropy  # the grid's first window
+        assert list(result.failures) == [
+            f"median: cannot fit the non-finite point ({entropy!r}, inf)"
+        ]
+        assert not any(method == "median" for method, _ in result.fits)
+        assert all(result.ranks[metric]["median"]["unrankable"] for metric in METRIC_NAMES)

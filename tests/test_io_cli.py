@@ -14,7 +14,6 @@ from toposmooth import TimeSeries, diagram_of, generate_synthetic, load_csv
 from toposmooth.cli import CLI_METHODS, main
 from toposmooth.io import (
     canonical_json,
-    fmt,
     svg_line_chart,
     svg_metric_scatter,
     write_pairs_csv,
@@ -136,7 +135,7 @@ def test_pairs_csv_is_the_pairs_one_per_line(tmp_path, name):
     path = tmp_path / "pairs.csv"
     write_pairs_csv(path, diagram)
     expected = ["birth_index,death_index,birth,death,persistence"] + [
-        f"{birth},{death},{fmt(birth_value)},{fmt(death_value)},{fmt(persistence)}"
+        f"{birth},{death},{float(birth_value)!r},{float(death_value)!r},{float(persistence)!r}"
         for birth, death, birth_value, death_value, persistence in diagram_rows(
             diagram, *PAIR_COLUMNS, "persistence"
         )
@@ -161,18 +160,13 @@ def test_column_writers_equal_a_per_value_loop(tmp_path):
     series = TimeSeries(ys, positions=xs)
     path = tmp_path / "series.csv"
     write_series_csv(path, series)
-    assert path.read_text() == "".join(f"{fmt(x)},{fmt(y)}\n" for x, y in zip(xs, ys))
+    assert path.read_text() == "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in zip(xs, ys))
     chart = svg_line_chart([("a", series)], "wide")
     points = chart.split('points="')[1].split('"')[0]
     assert points == " ".join(
         f"{_scaled(x, min(xs), max(xs), 48, 672):.2f},{_scaled(y, min(ys), max(ys), 352, 48):.2f}"
         for x, y in zip(xs, ys)
     )
-
-
-def test_fmt_round_trips():
-    for v in (0.1, 1 / 3, 1e-17, -2.5, 12345.6789):
-        assert float(fmt(v)) == v
 
 
 def test_canonical_json_stable_under_reparse():

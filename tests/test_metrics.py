@@ -24,12 +24,27 @@ from toposmooth import (
     approx_entropy,
     bottleneck,
     diagram_of,
+    douglas_peucker,
     metrics,
     norm_l1,
     norm_linf,
     simplify,
     wasserstein1,
 )
+from toposmooth.evaluate import default_grids
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """A list that gains one item per ``_covers_rows`` call; each cost that
+    ``bottleneck`` tests makes one or two."""
+    calls = []
+    covers_rows = metrics._covers_rows
+    monkeypatch.setattr(
+        metrics, "_covers_rows", lambda adjacent: calls.append(1) or covers_rows(adjacent)
+    )
+    return calls
+
 
 oracle_diagrams = st.one_of(diagram_points, tie_rich_diagram_points)
 # At most two points, so that a diagram made of several stays small enough
@@ -245,7 +260,7 @@ class TestDiagramDistances:
         assert bottleneck(c1, c2) == expected
         assert bottleneck(c2, c1) == expected
 
-    def test_most_persistent_subset_takes_one_probe(self, monkeypatch):
+    def test_most_persistent_subset_takes_one_probe(self, probes):
         # Dropping the least persistent points leaves a diagram whose distance
         # to the original is the largest dropped half-persistence; the count
         # bound equals it, so one feasibility test (two sides) settles it.
@@ -256,17 +271,12 @@ class TestDiagramDistances:
         order = np.argsort(halves, kind="stable")
         kept = full[order[len(full) // 2 :]]
         assert nearest_cost_bound(full.tolist(), kept.tolist()) < halves[order[len(full) // 2 - 1]]
-        calls = []
-        covers_rows = metrics._covers_rows
-        monkeypatch.setattr(
-            metrics, "_covers_rows", lambda adjacent: calls.append(1) or covers_rows(adjacent)
-        )
         for c1, c2 in ((full, kept), (kept, full)):
-            calls.clear()
+            probes.clear()
             assert bottleneck(c1.tolist(), c2.tolist()) == halves[order[len(full) // 2 - 1]]
-            assert len(calls) <= 2
+            assert len(probes) <= 2
 
-    def test_tie_rich_diagrams_take_both_paths(self):
+    def test_tie_rich_diagrams_take_both_paths(self, probes):
         rng = np.random.default_rng(23)
         searched = 0
         for _ in range(300):
@@ -278,6 +288,19 @@ class TestDiagramDistances:
             assert bottleneck(c1, c2) == expected
             searched += lower_bound(c1, c2) < expected
         assert 0 < searched < 300
+        # The binary search's probes: a search that ran extra steps, or
+        # probed the largest candidate, which is feasible by construction,
+        # would make more.
+        assert len(probes) == 578
+
+    def test_searched_sweep_pair_keeps_its_value_and_probes(self, probes):
+        # The seed-7 noisy sine against its Douglas-Peucker smoothing at the
+        # first default-grid epsilon: a search above an infeasible bound.
+        series = toposmooth.generate_synthetic("noisy_sine", 1024, 7)
+        epsilon = default_grids(len(series), float(np.ptp(series.values)))["douglas_peucker"][0]
+        smoothed = douglas_peucker(series, epsilon)
+        assert bottleneck(diagram_of(series), diagram_of(smoothed)).hex() == "0x1.57c3380b12600p-3"
+        assert len(probes) == 31
 
     def test_larger_random_diagrams_against_oracle(self):
         rng = np.random.default_rng(17)
