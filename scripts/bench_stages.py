@@ -17,16 +17,22 @@ plateaus and few pairs), times:
 - ``wasserstein1`` and ``bottleneck`` between the two series' diagrams;
 - ``bottleneck`` between the diagrams of the walk and of its stride-6
   ``uniform_subsample``, a pair whose count bound falls short, so the
-  binary search over candidate costs runs at every size;
+  search above the bound runs at every size;
 - at n = 1024 and 4096 only, ``wasserstein1`` between the diagrams of the
   walk and of its ``gaussian_filter`` with sigma 0.5, two diagrams of which
   neither is a subset of the other.
 
 Then ``bottleneck`` between the diagrams of the seed-7 spike train at
 n=4096 and of its ``douglas_peucker`` at the fifth point (index 4) of the
-default grid, whose search makes 34 ``_covers_rows`` probes.
+default grid, a pair whose forced points often share a nearest point, so
+its search still calls ``_covers_rows`` 28 times; and between the
+diagrams of the seed-7 noisy sine at n=1024 and of its ``douglas_peucker``
+at the first point of the default grid, the searched pair that the tests
+pin.
 
-Then ``simplify`` of the seed-7 noisy sine at n=131072 with
+Then ``douglas_peucker_indices`` of the seed-7 noisy sine at n=131072
+with epsilon = 0.01 times its value range, as ``toposmooth smooth
+--method douglas-peucker`` runs it; ``simplify`` of that sine with
 ``Fraction(0.5)``, whose many short segments are pooled in lockstep, and
 with ``Threshold(0.25 * value range)``, whose few long ones go through the
 loop; ``diagram_of`` and ``simplify`` with ``Fraction(0.5)`` of the
@@ -178,7 +184,14 @@ def measure(src: Path) -> dict:
     epsilon = default_grids(4096, float(np.ptp(train.values)))["douglas_peucker"][4]
     pair = diagram_of(train), diagram_of(douglas_peucker(train, epsilon))
     stage("bottleneck/spikes_vs_douglas_peucker4/n4096", lambda: bottleneck(*pair), float.hex)
+    sine = generate_synthetic("noisy_sine", 1024, 7)
+    epsilon = default_grids(1024, float(np.ptp(sine.values)))["douglas_peucker"][0]
+    pair = diagram_of(sine), diagram_of(douglas_peucker(sine, epsilon))
+    stage("bottleneck/sine_vs_douglas_peucker0/n1024", lambda: bottleneck(*pair), float.hex)
     sine = generate_synthetic("noisy_sine", 131072, 7)
+    epsilon = 0.01 * float(np.ptp(sine.values))
+    stage("douglas_peucker/noisy_sine/n131072",
+          lambda: douglas_peucker_indices(sine, epsilon), digest)
     stage("simplify/noisy_sine/n131072", lambda: simplify(sine, Fraction(0.5)), values_key)
     threshold = Threshold(0.25 * float(np.ptp(sine.values)))
     stage("simplify/noisy_sine_threshold/n131072", lambda: simplify(sine, threshold), values_key)

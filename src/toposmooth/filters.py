@@ -3,6 +3,7 @@
 All filters preserve length and positions. Subsampled and piecewise-linear
 outputs are densified back to full length by interpolation so that every
 method's output can be compared pointwise against the input.
+Douglas-Peucker splits every open segment of a level in one numpy pass.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def uniform_subsample(series: TimeSeries, stride: int) -> TimeSeries:
 
 
 # Near the float limit a residual can overflow to inf, which is above any
-# epsilon and correctly keeps its sample; numpy need not warn.
+# epsilon and correctly keeps its sample, or be NaN, which is not above it;
+# numpy need not warn.
 @np.errstate(over="ignore", invalid="ignore")
 def douglas_peucker_indices(series: TimeSeries, epsilon: float) -> list[int]:
     """Sample indices kept by greedy polyline simplification.
@@ -96,7 +98,12 @@ def douglas_peucker_indices(series: TimeSeries, epsilon: float) -> list[int]:
     residual is <= ``epsilon``.
 
     A residual depends only on the kept points on either side, so each
-    segment is split at its own worst sample instead; the kept set is the same.
+    segment is split at its own worst sample instead; the kept set is the
+    same. Every open segment of a level is split in one pass: one
+    ``np.interp`` through the open segments' ends gives each inner sample
+    the slope and intercept of its own segment's two ends, the floats of a
+    two-point call. A segment with a NaN residual is not split: its worst
+    residual is NaN, which is not above ``epsilon``.
     """
     epsilon = real_argument("epsilon", epsilon)
     if not math.isfinite(epsilon):
@@ -106,20 +113,26 @@ def douglas_peucker_indices(series: TimeSeries, epsilon: float) -> list[int]:
     values = series.values
     xs = series.xs
     n = len(values)
-    kept = [0, n - 1]
-    stack = [(0, n - 1)]
-    while stack:
-        left, right = stack.pop()
-        if right - left < 2:
-            continue
-        inner, ends = slice(left + 1, right), [left, right]
+    kept = [np.array([0, n - 1])]
+    lefts, rights = kept[0][:1], kept[0][1:]  # the ends of the segments still open
+    while True:
+        wide = rights - lefts > 1
+        lefts, rights = lefts[wide], rights[wide]
+        if not len(lefts):
+            return np.sort(np.concatenate(kept)).tolist()
+        sizes = rights - lefts - 1
+        starts = np.cumsum(sizes) - sizes  # each segment's first place in `inner`
+        inner = np.arange(starts[-1] + sizes[-1]) + np.repeat(lefts + 1 - starts, sizes)
+        ends = np.union1d(lefts, rights)  # neighbours may share an end
         residual = np.abs(values[inner] - np.interp(xs[inner], xs[ends], values[ends]))
-        worst = int(np.argmax(residual))
-        if residual[worst] > epsilon:
-            worst += left + 1
-            kept.append(worst)
-            stack += [(left, worst), (worst, right)]
-    return sorted(kept)
+        worst = np.maximum.reduceat(residual, starts)
+        split = worst > epsilon  # False at NaN
+        # A split segment's first sample at its worst residual.
+        at_worst = np.flatnonzero(residual == np.repeat(worst, sizes))
+        added = inner[at_worst[np.searchsorted(at_worst, starts[split])]]
+        kept.append(added)
+        lefts = np.array([lefts[split], added]).T.ravel()
+        rights = np.array([added, rights[split]]).T.ravel()
 
 
 def douglas_peucker(series: TimeSeries, epsilon: float) -> TimeSeries:

@@ -12,7 +12,9 @@ whose half-persistence exceeds t is forced to match across, every other
 point may take the diagonal, and diagonal slots pair freely. A matching
 that covers the forced points of one diagram and one that covers those of
 the other combine into one that covers both (Mendelsohn-Dulmage), so t is
-feasible iff each side's forced points can be matched within t.
+feasible iff each side's forced points can be matched within t. Forced
+points whose nearest points across are distinct are matched to them; only
+a side where two share one runs a bipartite matching.
 """
 
 from __future__ import annotations
@@ -129,11 +131,27 @@ def _covers_rows(adjacent: np.ndarray) -> bool:
     return bool(np.all(match >= 0))
 
 
+def _forced_covered(cross: np.ndarray, half: np.ndarray, nearest: np.ndarray, t: float) -> bool:
+    """Can the cross edges of cost <= ``t`` match every row of ``cross``
+    whose half-persistence exceeds ``t``?
+
+    ``nearest`` is each row's cheapest column. At a ``t`` no lower than
+    ``bottleneck``'s lower bound, every such row's nearest column lies
+    within ``t``, so rows with pairwise distinct nearest columns are matched
+    by them; only rows that share one need the matching.
+    """
+    forced = half > t
+    near = nearest[forced]
+    if len(np.unique(near)) == len(near):
+        return True
+    return _covers_rows(cross[forced] <= t)
+
+
 def bottleneck(c, c_prime) -> float:
     """Minimax matching cost (l-infinity point cost, diagonal cost p/2).
 
-    Exact: binary search over the finite set of candidate costs. A cost t
-    is feasible iff the cross edges of cost <= t match every point of the
+    Exact: a search over the finite set of candidate costs. A cost t is
+    feasible iff the cross edges of cost <= t match every point of the
     first diagram whose half-persistence exceeds t, and, separately, every
     such point of the second; by Mendelsohn-Dulmage the two matchings
     combine into one, and all other points go to the diagonal.
@@ -144,7 +162,16 @@ def bottleneck(c, c_prime) -> float:
     is below its |m - n|-th smallest half-persistence either. The larger of
     the two bounds is a candidate and often the answer (always, when one
     diagram is a most-persistent subset of the other), so it is tested
-    before any candidate list is built; the search then runs only above it.
+    first; the search then runs only above it, on the points forced at the
+    bound. At any t from the bound up, a forced point's nearest point lies
+    within t, so forced points with distinct nearest points are matched
+    without ``_covers_rows``.
+
+    Feasibility is monotone in t, and it changes only where the forced sets
+    do, at a half-persistence, or at a forced point's cross cost. The search
+    therefore finds the first feasible half-persistence, and then the first
+    feasible cross cost of the points forced below it, in the gap between
+    it and the half-persistence or bound before it.
     """
     a, b = _points(c), _points(c_prime)
     # A cross cost between values more than the float range apart is inf,
@@ -167,19 +194,32 @@ def bottleneck(c, c_prime) -> float:
         bound = max(bound, np.partition(larger, excess - 1)[excess - 1])
     if bound == -np.inf:  # both diagrams are empty
         return 0.0
+    if not (len(a) and len(b)):  # the bound is the largest half-persistence
+        return float(bound)
+    # Only points forced at the bound can be forced above it: each side's
+    # rows of the block, and each row's first nearest point across.
+    rows_a, rows_b = cross[half_a > bound], cross.T[half_b > bound]
+    half_a, half_b = half_a[half_a > bound], half_b[half_b > bound]
+    nearest_a, nearest_b = rows_a.argmin(axis=1), rows_b.argmin(axis=1)
 
     def feasible(t: float) -> bool:
-        close = cross <= t
-        return _covers_rows(close[half_a > t]) and _covers_rows(close[:, half_b > t].T)
+        return _forced_covered(rows_a, half_a, nearest_a, t) and _forced_covered(
+            rows_b, half_b, nearest_b, t
+        )
 
     if feasible(bound):
         return float(bound)
-    halves = np.concatenate([half_a, half_b])
-    candidates = np.unique(np.concatenate([cross.ravel(), halves]))
     # Sending every point to the diagonal costs the largest half-persistence,
-    # so the largest candidate kept is feasible and is never probed.
-    candidates = candidates[(candidates > bound) & (candidates <= halves.max())]
-    return float(candidates[bisect_left(candidates, True, hi=len(candidates) - 1, key=feasible)])
+    # so the last step is feasible and is never probed.
+    steps = np.unique(np.concatenate([half_a, half_b]))
+    above = bisect_left(steps, True, hi=len(steps) - 1, key=feasible)
+    below = steps[above - 1] if above else bound
+    # In the gap the forced points are those whose half-persistence exceeds
+    # `below`; the costs it holds that can change feasibility are theirs.
+    costs = np.concatenate([rows_a[half_a > below].ravel(), rows_b[half_b > below].ravel()])
+    gap = np.unique(costs[(costs > below) & (costs < steps[above])])
+    found = bisect_left(gap, True, key=feasible)
+    return float(gap[found] if found < len(gap) else steps[above])
 
 
 def _run_ends(x: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -197,8 +197,13 @@ def integer_argument(name: str, value) -> int:
 def real_argument(name: str, value):
     """``value`` itself if it is a real number, numpy's included, else a ValueError.
 
-    A bool and a numeric string are refused, so neither is taken as a number.
+    A bool and a numeric string are refused, so neither is taken as a number,
+    and so is a number that no float holds, such as the int ``10**400``.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must lie within the float range") from None
     return value

@@ -359,6 +359,36 @@ def douglas_peucker_greedy(values, xs, epsilon: float) -> list[int]:
     return kept
 
 
+def douglas_peucker_segments(values, xs, epsilon: float) -> list[int]:
+    """Douglas-Peucker one segment at a time, from a stack.
+
+    Splits a segment at the sample with the largest absolute residual
+    against the chord through its two ends (ties: smallest index) while
+    that residual exceeds ``epsilon``. A chord whose rise and run both
+    overflow gives NaN residuals; ``argmax`` picks the first NaN, which is
+    not above ``epsilon``, so that segment is not split, where
+    ``douglas_peucker_greedy`` keeps inserting.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    xs = np.asarray(xs, dtype=np.float64)
+    kept = [0, len(values) - 1]
+    stack = [(0, len(values) - 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while stack:
+            left, right = stack.pop()
+            if right - left < 2:
+                continue
+            ends = [left, right]
+            chord = np.interp(xs[left + 1 : right], xs[ends], values[ends])
+            residual = np.abs(values[left + 1 : right] - chord)
+            worst = int(np.argmax(residual))
+            if residual[worst] > epsilon:
+                worst += left + 1
+                kept.append(worst)
+                stack += [(left, worst), (worst, right)]
+    return sorted(kept)
+
+
 def _pav(values):
     """Pool-adjacent-violators over Python floats, one sample at a time."""
     means: list[float] = []

@@ -13,6 +13,7 @@ import pytest
 from toposmooth import (
     EvaluationError,
     FitLine,
+    Threshold,
     TimeSeries,
     approx_entropy,
     auc,
@@ -20,6 +21,7 @@ from toposmooth import (
     diagram_of,
     evaluate_series,
     fit_line,
+    gaussian_filter,
     generate_synthetic,
     norm_l1,
     norm_linf,
@@ -30,6 +32,7 @@ from toposmooth import (
 import toposmooth
 from toposmooth import evaluate
 from toposmooth.evaluate import DEFAULT_METHODS, METHODS, METRIC_NAMES, SweepPoint, default_grids
+from toposmooth.filters import douglas_peucker_indices
 from toposmooth.io import canonical_json, report_to_dict
 
 SRC = Path(toposmooth.__file__).resolve().parent.parent
@@ -379,12 +382,53 @@ class TestSweep:
         assert info.type is ValueError
         assert str(info.value) == "series is constant; entropy calibration undefined"
 
+    def test_parameter_outside_the_float_range_recorded(self):
+        series = generate_synthetic("noisy_sine", 64, 7)
+        points, failures = sweep(series, "douglas_peucker", [10**400, 0.5], r=0.3)
+        assert [p.parameter for p in points] == [0.5]
+        assert failures == [
+            f"douglas_peucker parameter {10**400!r}: "
+            "douglas-peucker parameter must lie within the float range"
+        ]
+
     def test_rejects_unknown_method_and_empty_grid(self):
         series = TimeSeries([0.0, 1.0] * 8)
         with pytest.raises(ValueError):
             sweep(series, "boxcar", [1])
         with pytest.raises(ValueError):
             sweep(series, "median", [])
+
+
+# Python ints that no float holds: each call refuses one with a ValueError
+# naming the parameter (a diagram point's coordinate, with its point).
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda s: bottleneck([(0, 10**400)], []),
+            f"diagram point {(0, 10**400)!r} must be a pair of real numbers",
+        ),
+        (
+            lambda s: wasserstein1([], [(-(10**400), 0)]),
+            f"diagram point {(-(10**400), 0)!r} must be a pair of real numbers",
+        ),
+        (lambda s: douglas_peucker_indices(s, 10**400), "epsilon must lie within the float range"),
+        (lambda s: gaussian_filter(s, 10**400), "sigma must lie within the float range"),
+        (lambda s: approx_entropy(s, r=10**400), "r must lie within the float range"),
+        (
+            lambda s: METHODS["douglas_peucker"](s, 10**400),
+            "douglas-peucker parameter must lie within the float range",
+        ),
+        (lambda s: Threshold(10**400), "threshold must lie within the float range"),
+    ],
+    ids=["bottleneck", "wasserstein1", "douglas_peucker", "gaussian", "entropy", "method",
+         "threshold"],
+)
+def test_int_outside_the_float_range_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call(generate_synthetic("noisy_sine", 64, 7))
+    assert info.type is ValueError
+    assert str(info.value) == message
 
 
 class TestFitLine:

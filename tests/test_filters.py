@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import (
     cutoff_direct,
     douglas_peucker_greedy,
+    douglas_peucker_segments,
     gaussian_direct,
     interp_direct,
     median_direct,
@@ -22,6 +23,31 @@ from toposmooth import (
 )
 from toposmooth.evaluate import METHODS
 from toposmooth.filters import douglas_peucker_indices
+
+# Values at the edge of the float range make chords whose rise overflows,
+# so residuals are inf. Positions within 1e307 of 0 keep every run finite;
+# positions beyond let a run overflow too, so residuals can be NaN.
+LIMIT_VALUES = [0.0, 1.0, -1.0, 1e308, -1e308, 1.79e308, -1.79e308]
+SHORT_RUNS = [-1e307, -1.0, 0.0, 1.0, 2.0, 1e307]
+LONG_RUNS = SHORT_RUNS + [-1.79e308, -1.5e308, -1e308, 1e308, 1.5e308, 1.79e308]
+
+
+def limit_series(rng, positions):
+    """A short series of LIMIT_VALUES, on default or sampled positions."""
+    n = int(rng.integers(2, 10))
+    values = rng.choice(LIMIT_VALUES, n)
+    if n > len(positions) or rng.random() < 0.3:
+        return TimeSeries(values)
+    return TimeSeries(values, positions=np.sort(rng.choice(positions, n, replace=False)))
+
+
+def chord_residuals(series):
+    """Each sample's residual against the chord through the two ends."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = [0, len(series) - 1]
+        chord = np.interp(series.xs, series.xs[ends], series.values[ends])
+        return np.abs(series.values - chord)
+
 
 ALL_FILTERS = [
     lambda s: median_filter(s, 3),
@@ -207,6 +233,47 @@ class TestDouglasPeucker:
         assert douglas_peucker_indices(series, epsilon) == douglas_peucker_greedy(
             values, series.xs, epsilon
         )
+
+    def test_near_float_limit_equals_global_greedy(self):
+        rng = np.random.default_rng(3)
+        overflowed = 0
+        for _ in range(1000):
+            series = limit_series(rng, SHORT_RUNS)
+            epsilon = float(rng.choice([0.0, 1.0]))
+            with np.errstate(over="ignore"):
+                expected = douglas_peucker_greedy(series.values, series.xs, epsilon)
+            assert douglas_peucker_indices(series, epsilon) == expected
+            overflowed += bool(np.isinf(chord_residuals(series)).any())
+        assert overflowed > 100
+
+    def test_near_float_limit_equals_segment_splits(self):
+        # A segment whose worst residual is NaN is not split.
+        rng = np.random.default_rng(4)
+        undefined = 0
+        for _ in range(1000):
+            series = limit_series(rng, LONG_RUNS)
+            epsilon = float(rng.choice([0.0, 1.0]))
+            expected = douglas_peucker_segments(series.values, series.xs, epsilon)
+            assert douglas_peucker_indices(series, epsilon) == expected
+            undefined += bool(np.isnan(chord_residuals(series)).any())
+        assert undefined > 20
+
+    def test_nan_segment_beside_a_split_one(self):
+        # The chord from 0 to 4 splits at 2, its first inf residual. In the
+        # next level the chord from 0 to 2 rises and runs past the float
+        # range, so its residual is NaN and it stays, while the chord from 2
+        # to 4 splits at 3. The global greedy form would keep 1 as well.
+        values = [-1.79e308, -1.79e308, 1.79e308, 1.79e308, -1.79e308]
+        series = TimeSeries(values, positions=[-1.79e308, -1e307, 1e307, 1e308, 1.5e308])
+        assert np.isnan(chord_residuals(TimeSeries(values[:3], positions=series.xs[:3]))[1])
+        assert douglas_peucker_indices(series, 0.0) == [0, 2, 3, 4]
+
+    def test_deep_one_sided_split_equals_global_greedy(self):
+        # Each chord of a steep exponential splits near its right end, so the
+        # splits are one-sided and deep: 113 levels for 300 samples.
+        series = TimeSeries(np.exp(np.linspace(0.0, 600.0, 300)))
+        expected = douglas_peucker_greedy(series.values, series.xs, 0.0)
+        assert douglas_peucker_indices(series, 0.0) == expected
 
     def test_kept_points_nest_as_epsilon_decreases(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import fractions
+import hashlib
 
 import numpy as np
 import pytest
@@ -31,13 +32,15 @@ from toposmooth import (
     simplify,
     wasserstein1,
 )
-from toposmooth.evaluate import default_grids
+from toposmooth.evaluate import METHODS, default_grids
+from toposmooth.filters import douglas_peucker_indices
 
 
 @pytest.fixture
 def probes(monkeypatch):
-    """A list that gains one item per ``_covers_rows`` call; each cost that
-    ``bottleneck`` tests makes one or two."""
+    """A list that gains one item per ``_covers_rows`` call, which
+    ``bottleneck`` makes only for a side whose forced points share a
+    nearest point."""
     calls = []
     covers_rows = metrics._covers_rows
     monkeypatch.setattr(
@@ -45,6 +48,27 @@ def probes(monkeypatch):
     )
     return calls
 
+
+@pytest.fixture
+def sides(monkeypatch):
+    """A list that gains one item per ``_forced_covered`` call: each cost
+    that ``bottleneck`` tests, the lower bound included, makes one or two."""
+    calls = []
+    forced_covered = metrics._forced_covered
+    monkeypatch.setattr(
+        metrics,
+        "_forced_covered",
+        lambda *args: calls.append(1) or forced_covered(*args),
+    )
+    return calls
+
+
+# sha256 over the seed-7 n=1024 default sweep of each kind in turn: the
+# float hex of the bottleneck distance from the series' diagram to each
+# smoothed one, method by method in grid order, then the kept indices of
+# douglas_peucker_indices at each default epsilon. Recorded when bottleneck
+# searched all the cross costs and Douglas-Peucker split one segment a step.
+SWEEP_KERNELS_SEED7 = "2cf4c8e87b425dfdfa5f3f399de70436973797b016d6448a666d0c05e1cf33fa"
 
 oracle_diagrams = st.one_of(diagram_points, tie_rich_diagram_points)
 # At most two points, so that a diagram made of several stays small enough
@@ -276,7 +300,44 @@ class TestDiagramDistances:
             assert bottleneck(c1.tolist(), c2.tolist()) == halves[order[len(full) // 2 - 1]]
             assert len(probes) <= 2
 
-    def test_tie_rich_diagrams_take_both_paths(self, probes):
+    @pytest.mark.parametrize(
+        "c1, c2, covered",
+        [
+            # Both forced points of the second diagram are nearest to (-1, 3)
+            # at the bound 1.0; the matching finds no room for both.
+            ([(-2.0, -1.0), (-1.0, 3.0)], [(-2.0, 2.0), (0.0, 3.0)], False),
+            # Both forced points of the second diagram take (0, 3) as their
+            # nearest point, the first of a tie for (-1, 3); the matching
+            # moves (-1, 3) to (-1, 2) within the bound 1.0.
+            ([(0.0, 3.0), (-1.0, 2.0)], [(1.0, 4.0), (-1.0, 3.0)], True),
+        ],
+    )
+    def test_shared_nearest_points_are_left_to_the_matching(self, probes, c1, c2, covered):
+        expected = exhaustive_bottleneck(c1, c2)
+        assert bottleneck(c1, c2) == expected
+        assert probes == [1]
+        assert (expected == lower_bound(c1, c2)) is covered
+        assert bottleneck(c2, c1) == expected
+
+    def test_search_answer_between_half_persistences(self):
+        # Above the infeasible bound 1.5 the half-persistences are 2.0,
+        # 2.5 and 3.0; the answer is the middle one, a probed step.
+        c1, c2 = [(-2.0, 1.0), (1.0, 5.0)], [(0.0, 6.0), (1.0, 6.0)]
+        expected = exhaustive_bottleneck(c1, c2)
+        assert lower_bound(c1, c2) == 1.5 < expected == 2.5
+        assert bottleneck(c1, c2) == bottleneck(c2, c1) == expected
+
+    def test_search_answer_inside_a_gap(self):
+        # Above the infeasible bound 1.0 the half-persistences are 1.5 and
+        # 3.0; 1.5 is infeasible, and the answer is the cross cost 2.0 of a
+        # point forced in the gap between them, not a half-persistence.
+        c1, c2 = [(0.0, 3.0), (-2.0, 4.0)], [(0.0, 2.0), (-1.0, 5.0), (-2.0, 4.0)]
+        expected = exhaustive_bottleneck(c1, c2)
+        assert lower_bound(c1, c2) == 1.0 < 1.5 < expected == 2.0
+        assert expected == max(abs(0.0 - -1.0), abs(3.0 - 5.0))
+        assert bottleneck(c1, c2) == bottleneck(c2, c1) == expected
+
+    def test_tie_rich_diagrams_take_both_paths(self, probes, sides):
         rng = np.random.default_rng(23)
         searched = 0
         for _ in range(300):
@@ -288,19 +349,36 @@ class TestDiagramDistances:
             assert bottleneck(c1, c2) == expected
             searched += lower_bound(c1, c2) < expected
         assert 0 < searched < 300
-        # The binary search's probes: a search that ran extra steps, or
-        # probed the largest candidate, which is feasible by construction,
-        # would make more.
-        assert len(probes) == 578
+        # The feasibility tests, one or two sides each: a search that ran
+        # extra steps, or probed the largest half-persistence, which is
+        # feasible by construction, would make more. Only the sides whose
+        # forced points share a nearest point reach the matching.
+        assert len(sides) == 364
+        assert len(probes) == 10
 
-    def test_searched_sweep_pair_keeps_its_value_and_probes(self, probes):
+    def test_searched_sweep_pair_keeps_its_value_and_probes(self, probes, sides):
         # The seed-7 noisy sine against its Douglas-Peucker smoothing at the
         # first default-grid epsilon: a search above an infeasible bound.
         series = toposmooth.generate_synthetic("noisy_sine", 1024, 7)
         epsilon = default_grids(len(series), float(np.ptp(series.values)))["douglas_peucker"][0]
         smoothed = douglas_peucker(series, epsilon)
         assert bottleneck(diagram_of(series), diagram_of(smoothed)).hex() == "0x1.57c3380b12600p-3"
-        assert len(probes) == 31
+        assert len(sides) == 19
+        assert len(probes) == 3
+
+    def test_sweep_values_unchanged(self):
+        digest = hashlib.sha256()
+        for kind in ("spike_train", "noisy_sine", "random_walk"):
+            series = toposmooth.generate_synthetic(kind, 1024, 7)
+            grids = default_grids(len(series), float(np.ptp(series.values)))
+            original = diagram_of(series)
+            for method, grid in grids.items():
+                for param in grid:
+                    smoothed = diagram_of(METHODS[method](series, param))
+                    digest.update(bottleneck(original, smoothed).hex().encode())
+            for epsilon in grids["douglas_peucker"]:
+                digest.update(repr(douglas_peucker_indices(series, epsilon)).encode())
+        assert digest.hexdigest() == SWEEP_KERNELS_SEED7
 
     def test_larger_random_diagrams_against_oracle(self):
         rng = np.random.default_rng(17)
