@@ -133,13 +133,9 @@ def _covers_rows(adjacent: np.ndarray) -> bool:
 
 def _forced_covered(cross: np.ndarray, half: np.ndarray, nearest: np.ndarray, t: float) -> bool:
     """Can the cross edges of cost <= ``t`` match every row of ``cross``
-    whose half-persistence exceeds ``t``?
-
-    ``nearest`` is each row's cheapest column. At a ``t`` no lower than
-    ``bottleneck``'s lower bound, every such row's nearest column lies
-    within ``t``, so rows with pairwise distinct nearest columns are matched
-    by them; only rows that share one need the matching.
-    """
+    whose half-persistence exceeds ``t``? From ``bottleneck``'s lower bound
+    up, each such row's ``nearest`` column lies within ``t``, so only rows
+    that share one need the matching."""
     forced = half > t
     near = nearest[forced]
     if len(np.unique(near)) == len(near):
@@ -167,11 +163,10 @@ def bottleneck(c, c_prime) -> float:
     within t, so forced points with distinct nearest points are matched
     without ``_covers_rows``.
 
-    Feasibility is monotone in t, and it changes only where the forced sets
-    do, at a half-persistence, or at a forced point's cross cost. The search
-    therefore finds the first feasible half-persistence, and then the first
-    feasible cross cost of the points forced below it, in the gap between
-    it and the half-persistence or bound before it.
+    Feasibility is monotone in t and changes only at a half-persistence or
+    at a forced point's cross cost, so the search finds the first feasible
+    half-persistence, then the first feasible cross cost of the points
+    forced in the gap below it.
     """
     a, b = _points(c), _points(c_prime)
     # A cross cost between values more than the float range apart is inf,
