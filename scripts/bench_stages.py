@@ -25,7 +25,7 @@ plateaus and few pairs), times:
 Then ``bottleneck`` between the diagrams of the seed-7 spike train at
 n=4096 and of its ``douglas_peucker`` at the fifth point (index 4) of the
 default grid, a pair whose forced points often share a nearest point, so
-its search still calls ``_covers_rows`` 28 times; and between the
+its search still calls ``_covers_rows`` 18 times; and between the
 diagrams of the seed-7 noisy sine at n=1024 and of its ``douglas_peucker``
 at the first point of the default grid, the searched pair that the tests
 pin.

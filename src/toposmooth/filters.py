@@ -37,13 +37,16 @@ def gaussian_filter(series: TimeSeries, sigma: float) -> TimeSeries:
     Kernel radius is ceil(3*sigma); weights exp(-k^2 / (2 sigma^2)) are
     renormalized to sum to 1, so constants pass through unchanged.
     ``sigma`` = 0 returns the input, as does a sigma whose square underflows
-    to 0.
+    to 0. A sigma whose square overflows is refused.
     """
     sigma = real_argument("sigma", sigma)
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    # A float product overflows to inf, where sigma**2 raises OverflowError.
+    if math.isinf(float(sigma) * float(sigma)):
+        raise ValueError(f"sigma must have a square below the float maximum, got {sigma}")
     if sigma**2 == 0:
         return series.with_values(series.values)
     radius = math.ceil(3.0 * sigma)
@@ -98,12 +101,14 @@ def douglas_peucker_indices(series: TimeSeries, epsilon: float) -> list[int]:
     residual is <= ``epsilon``.
 
     A residual depends only on the kept points on either side, so each
-    segment is split at its own worst sample instead; the kept set is the
-    same. Every open segment of a level is split in one pass: one
-    ``np.interp`` through the open segments' ends gives each inner sample
-    the slope and intercept of its own segment's two ends, the floats of a
-    two-point call. A segment with a NaN residual is not split: its worst
-    residual is NaN, which is not above ``epsilon``.
+    segment is split at its own worst sample instead. Every open segment of
+    a level is split in one pass: one ``np.interp`` through the open
+    segments' ends gives each inner sample the slope and intercept of its
+    own segment's two ends, the floats of a two-point call. The kept set is
+    that of global insertion except where a chord's rise and run both
+    overflow: the segment's worst residual is then NaN, which is not above
+    ``epsilon``, so it is left whole, where global insertion keeps
+    inserting its samples.
     """
     epsilon = real_argument("epsilon", epsilon)
     if not math.isfinite(epsilon):

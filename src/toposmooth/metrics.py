@@ -11,10 +11,12 @@ bottleneck distance needs only the m x n cross block: at a cost t, a point
 whose half-persistence exceeds t is forced to match across, every other
 point may take the diagonal, and diagonal slots pair freely. A matching
 that covers the forced points of one diagram and one that covers those of
-the other combine into one that covers both (Mendelsohn-Dulmage), so t is
-feasible iff each side's forced points can be matched within t. Forced
-points whose nearest points across are distinct are matched to them; only
-a side where two share one runs a bipartite matching.
+the other combine into one that covers both (Mendelsohn-Dulmage), so the
+distance is the larger of each side's least cost at which its forced
+points can be matched, and each side is searched on its own, the second
+from the first's answer. Forced points whose nearest points across are
+distinct are matched to them; only a side where two share one runs a
+bipartite matching.
 """
 
 from __future__ import annotations
@@ -143,78 +145,76 @@ def _forced_covered(cross: np.ndarray, half: np.ndarray, nearest: np.ndarray, t:
     return _covers_rows(cross[forced] <= t)
 
 
+def _least_covered(cross: np.ndarray, half: np.ndarray, t: float) -> float:
+    """The least candidate cost from ``t`` (at least ``bottleneck``'s lower
+    bound) up at which the cross edges within it match every row of
+    ``cross`` whose half-persistence exceeds it. Coverage is monotone in the
+    cost and changes only at a half-persistence or at a forced row's cross
+    cost, so after ``t`` the search finds the first covered
+    half-persistence, then the first covered cross cost of the rows forced
+    in the gap below it."""
+    # Only rows forced at t can be forced above it.
+    rows, half = cross[half > t], half[half > t]
+    nearest = rows.argmin(axis=1)
+
+    def covered(cost: float) -> bool:
+        return _forced_covered(rows, half, nearest, cost)
+
+    if covered(t):
+        return t
+    # Sending every row to the diagonal costs the largest half-persistence,
+    # so the last step is covered and is never probed.
+    steps = np.unique(half)
+    above = bisect_left(steps, True, hi=len(steps) - 1, key=covered)
+    below = steps[above - 1] if above else t
+    costs = rows[half > below]
+    gap = np.unique(costs[(costs > below) & (costs < steps[above])])
+    found = bisect_left(gap, True, key=covered)
+    return gap[found] if found < len(gap) else steps[above]
+
+
 def bottleneck(c, c_prime) -> float:
     """Minimax matching cost (l-infinity point cost, diagonal cost p/2).
 
-    Exact: a search over the finite set of candidate costs. A cost t is
-    feasible iff the cross edges of cost <= t match every point of the
-    first diagram whose half-persistence exceeds t, and, separately, every
-    such point of the second; by Mendelsohn-Dulmage the two matchings
-    combine into one, and all other points go to the diagonal.
+    Exact: the larger of the two diagrams' least covered costs, the least
+    candidate cost t at which the cross edges within t match the diagram's
+    points whose half-persistence exceeds t. By Mendelsohn-Dulmage the two
+    matchings combine into one, and all other points take the diagonal.
+    The first diagram is searched from a lower bound, the second from the
+    first's answer. When a diagram is empty, the distance is the other's
+    largest half-persistence.
 
     A point forced across at t needs an edge within t, so no cost below the
     largest min(half-persistence, nearest cross cost) is feasible; and at
     least |m - n| points of the larger diagram take the diagonal, so none
     is below its |m - n|-th smallest half-persistence either. The larger of
     the two bounds is a candidate and often the answer (always, when one
-    diagram is a most-persistent subset of the other), so it is tested
-    first; the search then runs only above it, on the points forced at the
-    bound. At any t from the bound up, a forced point's nearest point lies
-    within t, so forced points with distinct nearest points are matched
-    without ``_covers_rows``.
-
-    Feasibility is monotone in t and changes only at a half-persistence or
-    at a forced point's cross cost, so the search finds the first feasible
-    half-persistence, then the first feasible cross cost of the points
-    forced in the gap below it.
+    diagram is a most-persistent subset of the other), so each search tests
+    its start first. At any t from the bound up, a forced point's nearest
+    point lies within t, so forced points with distinct nearest points are
+    matched without ``_covers_rows``.
     """
     a, b = _points(c), _points(c_prime)
+    # Halving before subtracting keeps every half-persistence finite.
+    half_a = a[:, 1] / 2.0 - a[:, 0] / 2.0
+    half_b = b[:, 1] / 2.0 - b[:, 0] / 2.0
+    if not (len(a) and len(b)):
+        return float(max(half_a.max(initial=0.0), half_b.max(initial=0.0)))
     # A cross cost between values more than the float range apart is inf,
-    # which no candidate reaches; halving before subtracting keeps every
-    # half-persistence finite.
+    # which no candidate reaches.
     with np.errstate(over="ignore"):
         cross = np.maximum(
             np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
         )
-    half_a = a[:, 1] / 2.0 - a[:, 0] / 2.0
-    half_b = b[:, 1] / 2.0 - b[:, 0] / 2.0
     bound = max(
-        np.minimum(half_a, cross.min(axis=1, initial=np.inf)).max(initial=-np.inf),
-        np.minimum(half_b, cross.min(axis=0, initial=np.inf)).max(initial=-np.inf),
+        np.minimum(half_a, cross.min(axis=1)).max(), np.minimum(half_b, cross.min(axis=0)).max()
     )
     # At most min(m, n) points cross, so the |m - n| least persistent
     # points of the larger diagram are the fewest that can take the diagonal.
     larger, excess = (half_a, len(a) - len(b)) if len(a) > len(b) else (half_b, len(b) - len(a))
     if excess:
         bound = max(bound, np.partition(larger, excess - 1)[excess - 1])
-    if bound == -np.inf:  # both diagrams are empty
-        return 0.0
-    if not (len(a) and len(b)):  # the bound is the largest half-persistence
-        return float(bound)
-    # Only points forced at the bound can be forced above it: each side's
-    # rows of the block, and each row's first nearest point across.
-    rows_a, rows_b = cross[half_a > bound], cross.T[half_b > bound]
-    half_a, half_b = half_a[half_a > bound], half_b[half_b > bound]
-    nearest_a, nearest_b = rows_a.argmin(axis=1), rows_b.argmin(axis=1)
-
-    def feasible(t: float) -> bool:
-        return _forced_covered(rows_a, half_a, nearest_a, t) and _forced_covered(
-            rows_b, half_b, nearest_b, t
-        )
-
-    if feasible(bound):
-        return float(bound)
-    # Sending every point to the diagonal costs the largest half-persistence,
-    # so the last step is feasible and is never probed.
-    steps = np.unique(np.concatenate([half_a, half_b]))
-    above = bisect_left(steps, True, hi=len(steps) - 1, key=feasible)
-    below = steps[above - 1] if above else bound
-    # In the gap the forced points are those whose half-persistence exceeds
-    # `below`; the costs it holds that can change feasibility are theirs.
-    costs = np.concatenate([rows_a[half_a > below].ravel(), rows_b[half_b > below].ravel()])
-    gap = np.unique(costs[(costs > below) & (costs < steps[above])])
-    found = bisect_left(gap, True, key=feasible)
-    return float(gap[found] if found < len(gap) else steps[above])
+    return float(_least_covered(cross.T, half_b, _least_covered(cross, half_a, bound)))
 
 
 def _run_ends(x: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

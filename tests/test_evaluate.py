@@ -155,6 +155,13 @@ class TestSweep:
             "median parameter 4: window must be an odd integer >= 1, got 4",
         ]
 
+    def test_sigma_whose_square_overflows_is_a_named_failure(self):
+        series = generate_synthetic("noisy_sine", 64, 7)
+        assert sweep(series, "gaussian", [1e300]) == (
+            [],
+            ["gaussian parameter 1e+300: sigma must have a square below the float maximum, got 1e+300"],
+        )
+
     @pytest.mark.parametrize("kind", ["spike_train", "noisy_sine", "random_walk"])
     def test_equals_scoring_each_point_directly(self, kind):
         # Points are shared with a forked child; every value keeps its bits.

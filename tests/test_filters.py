@@ -118,6 +118,14 @@ class TestGaussian:
             gaussian_filter(TimeSeries([1, 2]), float("nan"))
         assert str(info.value) == "sigma must be finite, got nan"
 
+    # Above about 1.34e154 sigma**2 raises OverflowError on a Python float.
+    @pytest.mark.parametrize("sigma", [2e154, 1e300, 1.7976931348623157e308])
+    def test_rejects_sigma_whose_square_overflows(self, sigma):
+        with pytest.raises(ValueError) as info:
+            gaussian_filter(TimeSeries([1, 2]), sigma)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"sigma must have a square below the float maximum, got {sigma}"
+
     @given(float_series, st.floats(0.2, 4.0, allow_nan=False))
     def test_matches_direct_oracle(self, values, sigma):
         out = gaussian_filter(TimeSeries(values), sigma)

@@ -419,6 +419,31 @@ class TestCli:
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert not out.exists()
 
+    # Edge values for every method, past the fuzzed magnitudes: the float
+    # limits, the subnormals and a sigma whose square overflows. A gaussian
+    # sigma between about 1e5 and 1e13 would really allocate gigabytes, so
+    # none is here.
+    @pytest.mark.parametrize("method", CLI_METHODS)
+    @pytest.mark.parametrize(
+        "param",
+        ["0", "-0.0", "5e-324", "1e-320", "3.5", "1e19", "2e154", "1e300",
+         "1.7976931348623157e308", "-1e300", "nan", "inf", "-inf"],
+    )
+    def test_edge_parameter_is_a_result_or_one_error_line(self, tmp_path, capsys, method, param):
+        data = tmp_path / "data.csv"
+        data.write_text("1\n5\n2\n4\n0\n3\n")
+        out = tmp_path / "out.csv"
+        code = main(["smooth", "--input", str(data), "--method", method,
+                     f"--param={param}", "--output", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == []
+            assert out.exists()
+        else:
+            assert code == 1
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert not out.exists()
+
     # Sizes of tens to hundreds of TiB: allocation fails at once.
     @pytest.mark.parametrize(
         "args",

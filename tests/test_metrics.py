@@ -52,7 +52,8 @@ def probes(monkeypatch):
 @pytest.fixture
 def sides(monkeypatch):
     """A list that gains one item per ``_forced_covered`` call: each cost
-    that ``bottleneck`` tests, the lower bound included, makes one or two."""
+    that ``bottleneck`` tests on one diagram, the start of each diagram's
+    search included, makes one."""
     calls = []
     forced_covered = metrics._forced_covered
     monkeypatch.setattr(
@@ -61,6 +62,24 @@ def sides(monkeypatch):
         lambda *args: calls.append(1) or forced_covered(*args),
     )
     return calls
+
+
+@pytest.fixture
+def searches(monkeypatch, sides):
+    """One (start, answer, costs tested) triple per ``_least_covered`` call:
+    ``bottleneck`` searches its first diagram from the lower bound, then
+    its second from the first's answer."""
+    found = []
+    least_covered = metrics._least_covered
+
+    def search(cross, half, t):
+        before = len(sides)
+        answer = least_covered(cross, half, t)
+        found.append((float(t), float(answer), len(sides) - before))
+        return answer
+
+    monkeypatch.setattr(metrics, "_least_covered", search)
+    return found
 
 
 # sha256 over the seed-7 n=1024 default sweep of each kind in turn: the
@@ -349,11 +368,11 @@ class TestDiagramDistances:
             assert bottleneck(c1, c2) == expected
             searched += lower_bound(c1, c2) < expected
         assert 0 < searched < 300
-        # The feasibility tests, one or two sides each: a search that ran
-        # extra steps, or probed the largest half-persistence, which is
-        # feasible by construction, would make more. Only the sides whose
-        # forced points share a nearest point reach the matching.
-        assert len(sides) == 364
+        # The coverage tests, one diagram each: a search that ran extra
+        # steps, or probed the largest half-persistence, which is covered by
+        # construction, would make more. Only the diagrams whose forced
+        # points share a nearest point reach the matching.
+        assert len(sides) == 366
         assert len(probes) == 10
 
     def test_searched_sweep_pair_keeps_its_value_and_probes(self, probes, sides):
@@ -363,8 +382,70 @@ class TestDiagramDistances:
         epsilon = default_grids(len(series), float(np.ptp(series.values)))["douglas_peucker"][0]
         smoothed = douglas_peucker(series, epsilon)
         assert bottleneck(diagram_of(series), diagram_of(smoothed)).hex() == "0x1.57c3380b12600p-3"
-        assert len(sides) == 19
+        assert len(sides) == 12
         assert len(probes) == 3
+
+    @pytest.mark.parametrize(
+        "c1, c2, expected",
+        [
+            # The first diagram is searched from the bound 1.5 up to 2.5;
+            # the second is covered there.
+            ([(0.0, 6.0), (1.0, 6.0)], [(-2.0, 1.0), (1.0, 5.0)], [(1.5, 2.5, 2), (2.5, 2.5, 1)]),
+            # The first is searched from the bound 1.0 up to the cross cost
+            # 2.0; the second is covered there.
+            (
+                [(0.0, 2.0), (-1.0, 5.0), (-2.0, 4.0)],
+                [(0.0, 3.0), (-2.0, 4.0)],
+                [(1.0, 2.0, 2), (2.0, 2.0, 1)],
+            ),
+        ],
+    )
+    def test_second_diagram_covered_at_the_first_answer(self, searches, c1, c2, expected):
+        # The second search tests the first diagram's answer and stops.
+        assert bottleneck(c1, c2) == exhaustive_bottleneck(c1, c2) == expected[-1][1]
+        assert searches == expected
+
+    @pytest.mark.parametrize(
+        "c1, c2, expected",
+        [
+            # The first diagram is covered at the bound 1.5; the second's
+            # answer, the half-persistence 2.5, lies above it.
+            ([(-2.0, 1.0), (1.0, 5.0)], [(0.0, 6.0), (1.0, 6.0)], [(1.5, 1.5, 1), (1.5, 2.5, 2)]),
+            # The first is covered at the bound 1.0; the second's answer is
+            # the cross cost 2.0.
+            (
+                [(0.0, 3.0), (-2.0, 4.0)],
+                [(0.0, 2.0), (-1.0, 5.0), (-2.0, 4.0)],
+                [(1.0, 1.0, 1), (1.0, 2.0, 2)],
+            ),
+            # Both searches climb: the first from the bound 1.0 to 1.5, the
+            # second from there to 2.0.
+            (
+                [(-1.0, 2.0), (-1.0, 2.0), (1.0, 5.0)],
+                [(-1.0, 2.0), (0.0, 4.0), (2.0, 6.0)],
+                [(1.0, 1.5, 2), (1.5, 2.0, 1)],
+            ),
+        ],
+    )
+    def test_second_answer_above_the_first(self, searches, c1, c2, expected):
+        assert bottleneck(c1, c2) == exhaustive_bottleneck(c1, c2) == expected[-1][1]
+        assert searches == expected
+
+    @pytest.mark.parametrize(
+        "c, expected",
+        [
+            ([], "0x0.0p+0"),
+            ([(2.0, 2.0)], "0x0.0p+0"),
+            ([(1.0, 1.0), (0.0, 3.0), (-1.0, 1.0)], "0x1.8000000000000p+0"),
+            ([(2.0, 2.0), (-1.7e308, 1.7e308), (0.0, 3.0)], "0x1.e42d130773b76p+1023"),
+            ([(1.7e308, 1.7976931348623157e308), (5.0, 5.0)], "0x1.bd2ecf88c4890p+1018"),
+        ],
+    )
+    def test_empty_side_is_the_largest_half_persistence(self, searches, c, expected):
+        # Every point of the other diagram takes the diagonal at its
+        # half-persistence, which stays finite where its persistence does not.
+        assert bottleneck(c, []).hex() == bottleneck([], c).hex() == expected
+        assert searches == []
 
     def test_sweep_values_unchanged(self):
         digest = hashlib.sha256()
