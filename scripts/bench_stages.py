@@ -35,16 +35,16 @@ with epsilon = 0.01 times its value range, as ``toposmooth smooth
 --method douglas-peucker`` runs it; ``simplify`` of that sine with
 ``Fraction(0.5)``, whose many short segments are pooled in lockstep, and
 with ``Threshold(0.25 * value range)``, whose few long ones go through the
-loop; ``diagram_of`` and ``simplify`` with ``Fraction(0.5)`` of the
-seed-7 spike train at n=131072 (long enough for the sweep to pair in
-whole-array rounds), and ``simplify`` of it with ``Fraction(0.9)``, eight
-of whose nine ``isotonic_fit`` calls pool over 512 short runs in lockstep
-and a few long ones in the loop; each valued by a digest of its values or
-pairs. The I/O of that sine:
-``write_series_csv`` of it and ``load_csv`` of the file, ``write_pairs_csv``
-of its diagram, and ``svg_line_chart`` of it beside its ``Fraction(0.5)``
-simplification, as ``smooth --svg`` draws them, each valued by a digest of
-the values or of the bytes written. Then ``evaluate_series`` of the
+loop (one of its eight batches also pools one short segment in lockstep);
+``diagram_of`` and ``simplify`` with ``Fraction(0.5)`` of the seed-7
+spike train at n=131072 (long enough for the sweep to pair in whole-array
+rounds), and ``simplify`` of it with ``Fraction(0.9)``, each of whose nine
+``isotonic_fit`` calls pools 225-913 short runs in lockstep and 5-13 long
+ones in the loop; each valued by a digest of its values or pairs. The I/O
+of that sine: ``write_series_csv`` of it and ``load_csv`` of the file,
+``write_pairs_csv`` of its diagram, and ``svg_line_chart`` of it beside its
+``Fraction(0.5)`` simplification, as ``smooth --svg`` draws them, each
+valued by a digest of the values or of the bytes written. Then ``evaluate_series`` of the
 seed-7 spike train at n=1024 and of the seed-7 random walk and noisy sine
 at n=4096, each valued by a digest of all its sweep points. Last, two start-up
 times, each a fresh ``python -c`` process that imports the package from

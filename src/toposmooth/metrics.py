@@ -40,12 +40,12 @@ DEFAULT_M = 2  # ApEn's template length when none is given
 DEFAULT_R_FACTOR = 0.2  # r as a multiple of the sample std when no r is given
 
 
-def _values(x) -> np.ndarray:
-    return (x if isinstance(x, TimeSeries) else TimeSeries(x)).values
+def _series(x) -> TimeSeries:
+    return x if isinstance(x, TimeSeries) else TimeSeries(x)
 
 
 def _pointwise_gap(a, b, reduce) -> float:
-    va, vb = _values(a), _values(b)
+    va, vb = _series(a).values, _series(b).values
     if len(va) != len(vb):
         raise ValueError(f"length mismatch: {len(va)} vs {len(vb)}")
     # Finite samples more than the float range apart differ by inf, which is
@@ -283,8 +283,9 @@ def _row_counts(match: np.ndarray, span: int, rows: int, dtype) -> np.ndarray:
 
 def entropy_tolerance(series, r_factor: float) -> float:
     """ApEn's tolerance r: ``r_factor`` times the sample std; a constant series has none."""
-    real_argument("r_factor", r_factor)
-    std = sample_std(_values(series))
+    if not (0 < real_argument("r_factor", r_factor) < np.inf):
+        raise ValueError(f"r_factor must be finite and > 0, got {r_factor}")
+    std = sample_std(_series(series).values)
     if std == 0:
         raise ValueError("series is constant; entropy calibration undefined")
     return r_factor * std
@@ -327,7 +328,8 @@ def approx_entropy(series, m: int = DEFAULT_M, r: float | None = None) -> float:
     fixed blocks as the dense definition, so the result is bit-identical
     to it.
     """
-    x = _values(series)
+    series = _series(series)
+    x = series.values
     if r is None:
         r = entropy_tolerance(series, DEFAULT_R_FACTOR)
     n = len(x)

@@ -12,11 +12,10 @@ identity.
 The segments that need a refit are concatenated and fitted together:
 ``isotonic_fit`` takes their starts as a keyword, pools only within a
 segment, and runs once per batch of whole segments, so the per-call cost
-is paid per batch rather than per segment. A batch of many short runs,
-as a ``Fraction`` leaves on a long series, is pooled with numpy in
-lockstep across its runs; the others go through a Python loop, one
-sample at a time. Both paths make the same float operations, so the fit
-does not depend on the path.
+is paid per batch rather than per segment. A batch's short runs are
+pooled with numpy in lockstep, one sample of every run a step; its long
+runs go through a Python loop, one sample at a time. Both paths make the
+same float operations, so the fit does not depend on the path.
 """
 
 from __future__ import annotations
@@ -62,13 +61,10 @@ SimplifyPolicy = Threshold | Fraction
 # at 51.1 MB of RSS in 2**14-sample batches and at 58.8-58.9 MB in one
 # batch of every segment. The fit does not depend on it.
 _PAV_SAMPLES = 2**14
-# isotonic_fit pools runs of at most _LOCKSTEP_LENGTH samples in lockstep
-# when it has at least _LOCKSTEP_RUNS of them. On the batches of seed-7
-# n=131072 series (2-CPU Xeon), lockstep broke even with the loop at
-# 256-512 such runs of Fraction(0.5) and 512 of Fraction(0.8), and took
-# 0.4-0.7 of its time at 1024. The fit does not depend on them.
+# isotonic_fit pools the runs of at most _LOCKSTEP_LENGTH samples in
+# lockstep, one numpy step per sample of the longest, and the longer ones in
+# the loop, which is faster on them. The fit does not depend on it.
 _LOCKSTEP_LENGTH = 64
-_LOCKSTEP_RUNS = 512
 
 
 def _retained(diagram: PersistenceDiagram, policy: SimplifyPolicy) -> np.ndarray:
@@ -140,14 +136,15 @@ def isotonic_fit(values, *, starts=None) -> np.ndarray:
         raise ValueError("starts must be integers increasing from 0 below the length")
     length = np.diff(bounds)
     short = length <= _LOCKSTEP_LENGTH
-    if np.count_nonzero(short) < _LOCKSTEP_RUNS:
+    if not short.any():
         fit = _pav_loop(x, bounds.tolist())
     else:
         fit = np.empty_like(x)
         lock = np.repeat(short, length)
         fit[lock] = _pav_lockstep(x[lock], length[short])
-        rest = np.concatenate(([0], np.cumsum(length[~short])))
-        fit[~lock] = _pav_loop(x[~lock], rest.tolist())
+        if not short.all():
+            rest = np.concatenate(([0], np.cumsum(length[~short])))
+            fit[~lock] = _pav_loop(x[~lock], rest.tolist())
     bad = np.flatnonzero(~np.isfinite(fit))
     if len(bad):
         # m * w + pm * pw overflowed. Scaling by a power of two is exact

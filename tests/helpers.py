@@ -112,22 +112,22 @@ def sweep_mode(name: str):
 # The package's ``simplify`` attribute is the function, not the module.
 _simplify = importlib.import_module("toposmooth.simplify")
 
-# How isotonic_fit splits the runs of a call between lockstep pooling and
-# the loop, as (_LOCKSTEP_LENGTH, _LOCKSTEP_RUNS): as shipped; every run in
-# lockstep, at any count and length; and every run through the loop.
+# The run length up to which isotonic_fit pools a run in lockstep rather
+# than through the loop (_LOCKSTEP_LENGTH): as shipped; every run in
+# lockstep; and every run through the loop.
 PAV_MODES = {
-    "default": (_simplify._LOCKSTEP_LENGTH, _simplify._LOCKSTEP_RUNS),
-    "lockstep_all": (2**62, 0),
-    "loop_only": (0, 2**62),
+    "default": _simplify._LOCKSTEP_LENGTH,
+    "lockstep_all": 2**62,
+    "loop_only": 0,
 }
 
 
 @contextmanager
 def pav_mode(name: str):
     """Run isotonic_fit in one of ``PAV_MODES`` inside the block."""
-    saved = _simplify._LOCKSTEP_LENGTH, _simplify._LOCKSTEP_RUNS
-    _simplify._LOCKSTEP_LENGTH, _simplify._LOCKSTEP_RUNS = PAV_MODES[name]
+    saved = _simplify._LOCKSTEP_LENGTH
+    _simplify._LOCKSTEP_LENGTH = PAV_MODES[name]
     try:
         yield
     finally:
-        _simplify._LOCKSTEP_LENGTH, _simplify._LOCKSTEP_RUNS = saved
+        _simplify._LOCKSTEP_LENGTH = saved

@@ -190,7 +190,7 @@ class TestSweep:
             sweep(series, "median", [4], r=float("nan"))
         with pytest.raises(ValueError, match="m must be >= 1, got 0"):
             evaluate_series(series, m=0)
-        with pytest.raises(ValueError, match="r must be finite and > 0, got -"):
+        with pytest.raises(ValueError, match=r"^r_factor must be finite and > 0, got -1\.0$"):
             evaluate_series(series, r_factor=-1.0)
         # Too long an m is refused whether the points fail to smooth or not.
         for grid in ([4, 6], [3, 5]):

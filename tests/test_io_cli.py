@@ -504,9 +504,9 @@ class TestCli:
         [
             ("--m=0", "m must be >= 1, got 0"),
             ("--m=2000", "series of length 256 too short for m=2000"),
-            ("--r-factor=nan", "r must be finite and > 0, got nan"),
-            ("--r-factor=-1", "r must be finite and > 0, got -"),
-            ("--r-factor=inf", "r must be finite and > 0, got inf"),
+            ("--r-factor=nan", "r_factor must be finite and > 0, got nan"),
+            ("--r-factor=-1", "r_factor must be finite and > 0, got -1.0"),
+            ("--r-factor=inf", "r_factor must be finite and > 0, got inf"),
         ],
     )
     def test_bad_entropy_argument_is_one_error_line(
@@ -522,7 +522,7 @@ class TestCli:
         assert main([command, *source, flag]) == 1
         captured = capsys.readouterr()
         err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert err == [f"error: {message}"]
         assert captured.out == ""
         assert not out_dir.exists()
 

@@ -697,6 +697,28 @@ class TestApproxEntropy:
             metrics.entropy_tolerance([1.0, 2.0, 3.0, 4.0, 5.0], r_factor)
         assert str(info.value) == f"r_factor must be a real number, got {r_factor!r}"
 
+    @pytest.mark.parametrize("r_factor", [-1.0, 0.0, -0.0, float("nan"), float("inf")])
+    def test_tolerance_rejects_factor_not_finite_and_positive(self, r_factor):
+        with pytest.raises(ValueError) as info:
+            metrics.entropy_tolerance([1.0, 2.0, 3.0, 4.0, 5.0], r_factor)
+        assert str(info.value) == f"r_factor must be finite and > 0, got {r_factor}"
+
+    @pytest.mark.parametrize("r", [0.5, None])
+    def test_raw_input_is_checked_once(self, monkeypatch, r):
+        checks = []
+        check = toposmooth.series.require_valid
+
+        def recording(series):
+            checks.append(len(series))
+            check(series)
+
+        monkeypatch.setattr(toposmooth.series, "require_valid", recording)
+        values = [1.0, 3.0, 2.0, 5.0, 4.0, 6.0, 2.5, 7.0]
+        value = approx_entropy(values, m=2, r=r)
+        assert checks == [len(values)]
+        monkeypatch.undo()
+        assert value == approx_entropy(TimeSeries(values), m=2, r=r)
+
     def test_tolerance_takes_a_numpy_float_factor(self):
         values = [1.0, 2.0, 3.0, 4.0, 5.0]
         expected = metrics.entropy_tolerance(values, 0.2)

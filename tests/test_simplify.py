@@ -560,8 +560,8 @@ def _per_run_oracle(values, starts) -> np.ndarray:
 @pytest.mark.parametrize("mode", PAV_MODES)
 @pytest.mark.parametrize("style", ["tie_rich", "near_max"])
 def test_runs_equal_the_per_sample_oracle(style, mode):
-    # 900 runs of 1 to 79 samples: in the default mode over 512 of them are
-    # short enough for lockstep and the others go through the loop.
+    # 900 runs of 1 to 79 samples: in the default mode those of at most 64
+    # are pooled in lockstep and the others go through the loop.
     rng = np.random.default_rng(11)
     levels = {
         "tie_rich": [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0],
@@ -579,24 +579,35 @@ def test_runs_equal_the_per_sample_oracle(style, mode):
 
 
 def test_default_mode_takes_both_paths(monkeypatch):
+    # Each kernel is called once for the runs of its length, and only when
+    # the call has some: its spy records the number of runs it is given.
     calls = []
-    for name in ("_pav_loop", "_pav_lockstep"):
+    spies = {"_pav_loop": lambda bounds: len(bounds) - 1, "_pav_lockstep": len}
+    for name, runs in spies.items():
         original = getattr(simplify_module, name)
 
-        def recording(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
+        def recording(x, bounds, _name=name, _runs=runs, _original=original):
+            calls.append((_name, _runs(bounds)))
+            return _original(x, bounds)
 
         monkeypatch.setattr(simplify_module, name, recording)
-    length = np.array([3] * simplify_module._LOCKSTEP_RUNS + [simplify_module._LOCKSTEP_LENGTH + 1])
-    values = np.random.default_rng(3).normal(size=int(length.sum()))
-    starts = np.cumsum(length) - length
-    fit = isotonic_fit(values, starts=starts)
-    assert sorted(calls) == ["_pav_lockstep", "_pav_loop"]
-    assert _bits(fit) == _bits(_per_run_oracle(values, starts.tolist()))
-    calls.clear()
-    isotonic_fit(values[: -length[-1] - 3], starts=starts[:-2])
-    assert calls == ["_pav_loop"]
+    cut = simplify_module._LOCKSTEP_LENGTH
+    rng = np.random.default_rng(3)
+    cases = [
+        ([3] * 5 + [cut + 1], [("_pav_lockstep", 5), ("_pav_loop", 1)]),
+        ([cut + 1, 1, cut, 2, 3 * cut], [("_pav_lockstep", 3), ("_pav_loop", 2)]),
+        ([3] * 5, [("_pav_lockstep", 5)]),
+        *(([k], [("_pav_lockstep", 1)]) for k in (1, 2, cut)),
+        ([cut + 1], [("_pav_loop", 1)]),
+        ([cut + 1, 3 * cut], [("_pav_loop", 2)]),
+    ]
+    for length, expected in cases:
+        values = rng.normal(size=sum(length))
+        starts = np.cumsum(length) - length
+        calls.clear()
+        fit = isotonic_fit(values, starts=starts)
+        assert calls == expected, length
+        assert _bits(fit) == _bits(_per_run_oracle(values, starts.tolist())), length
 
 
 @given(st.lists(st.integers(0, 8).map(lambda v: v * 0.25), min_size=1, max_size=6))
